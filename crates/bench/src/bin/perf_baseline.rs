@@ -892,7 +892,7 @@ fn main() {
         sync: SyncPolicy::OnCheckpoint,
         checkpoint: CheckpointPolicy::Manual,
     };
-    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, 4, wal_opts).unwrap();
+    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, wal_opts).unwrap();
     let mut wal_at = 0usize;
     let (iters, ns) = time_case(budget_ms, 200, || {
         wal_log.append(&WalOp::Insert(wal_tail[wal_at % wal_tail.len()].clone()));
@@ -913,7 +913,7 @@ fn main() {
     // half of the recover case is the same size in every run.
     drop(wal_log);
     let _ = std::fs::remove_dir_all(&durable_dir);
-    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, 4, wal_opts).unwrap();
+    let mut wal_log = DurableLog::create(&durable_dir, &wal_db, wal_opts).unwrap();
     for r in wal_tail {
         wal_log.append(&WalOp::Insert(r.clone()));
     }

@@ -99,7 +99,7 @@ impl AnomalyDetector {
         let mut max_radius: f64 = 0.0;
         for syndrome in &syndromes {
             for &member in &syndrome.members {
-                let d = euclidean_distance(&db.signatures()[member].vector, &syndrome.centroid)?;
+                let d = euclidean_distance(&db.signature(member).vector, &syndrome.centroid)?;
                 max_radius = max_radius.max(d);
             }
         }

@@ -1,10 +1,12 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use fmeter_ir::{
-    Corpus, DocId, InvertedIndex, IrError, SearchScratch, SparseVec, TermCounts, TfIdfModel,
-    TfIdfOptions,
+    search_sharded, Corpus, DocId, InvertedIndex, IrError, SearchHit, SearchScratch, Shard,
+    ShardRouter, SparseVec, TermCounts, TfIdfModel, TfIdfOptions,
 };
+use fmeter_kernel_sim::Nanos;
 use fmeter_ml::{KMeans, Linkage};
 use serde::{Deserialize, Serialize};
 
@@ -164,6 +166,116 @@ pub(crate) struct ClusterCache {
     centroids: Vec<SparseVec>,
 }
 
+/// Label and interval of one stored signature. Labels are shared, so a
+/// copy-on-write piece clone copies no label bytes.
+#[derive(Debug, Clone)]
+struct SlotMeta {
+    label: Option<Arc<str>>,
+    started_at: Nanos,
+    ended_at: Nanos,
+}
+
+impl SlotMeta {
+    fn of(raw: &RawSignature) -> Self {
+        SlotMeta {
+            label: raw.label.as_deref().map(Arc::from),
+            started_at: raw.started_at,
+            ended_at: raw.ended_at,
+        }
+    }
+}
+
+/// One shard of the store: postings plus the CSR rows holding each
+/// stored vector once, and every local slot's label and interval.
+#[derive(Debug, Clone)]
+pub struct ShardPiece {
+    shard: Shard,
+    meta: Vec<SlotMeta>,
+}
+
+impl ShardPiece {
+    /// The shard's inverted index, block-max bounds, and packed vectors.
+    pub fn shard(&self) -> &Shard {
+        &self.shard
+    }
+
+    /// Appends global doc `doc` (the next id its shard expects).
+    fn push(&mut self, doc: DocId, vector: SparseVec, meta: SlotMeta) {
+        self.shard
+            .insert(doc, vector)
+            .expect("sequential global ids of the database's dimension");
+        self.meta.push(meta);
+    }
+
+    fn local(&self, doc: DocId) -> usize {
+        self.shard.router().local_of(doc)
+    }
+
+    fn vector(&self, doc: DocId) -> SparseVec {
+        self.shard.vectors().row_to_sparse(self.local(doc))
+    }
+
+    fn label(&self, doc: DocId) -> Option<&str> {
+        self.meta[self.local(doc)].label.as_deref()
+    }
+
+    /// Encodes every slot as a `Vec<Signature>` would, straight from
+    /// the rows (a lone piece's local ids are the global ones).
+    pub(crate) fn encode_signatures(&self, out: &mut Vec<u8>) {
+        use fmeter_ir::codec;
+        codec::put_usize(out, self.meta.len());
+        for (local, meta) in self.meta.iter().enumerate() {
+            let (terms, values) = self.shard.vectors().row(local);
+            codec::put_usize(out, self.shard.dim());
+            codec::put_u32s(out, terms);
+            codec::put_f64s(out, values);
+            codec::put_opt_str(out, meta.label.as_deref());
+            codec::put_u64(out, meta.started_at.0);
+            codec::put_u64(out, meta.ended_at.0);
+        }
+    }
+
+    pub(crate) fn signature(&self, doc: DocId) -> Signature {
+        let meta = &self.meta[self.local(doc)];
+        Signature {
+            vector: self.vector(doc),
+            label: meta.label.as_deref().map(str::to_owned),
+            started_at: meta.started_at,
+            ended_at: meta.ended_at,
+        }
+    }
+}
+
+/// Copies each merged hit's signature out of its piece.
+pub(crate) fn resolve_hits(
+    router: ShardRouter,
+    pieces: &[Arc<ShardPiece>],
+    hits: Vec<SearchHit>,
+) -> Vec<(DocId, Signature, f64)> {
+    hits.into_iter()
+        .map(|h| {
+            (
+                h.doc,
+                pieces[router.shard_of(h.doc)].signature(h.doc),
+                h.score,
+            )
+        })
+        .collect()
+}
+
+/// Majority label among `labels`; ties break towards the lexically
+/// smaller label.
+pub(crate) fn vote<'a>(labels: impl Iterator<Item = Option<&'a str>>) -> Option<String> {
+    let mut votes: HashMap<&str, usize> = HashMap::new();
+    for label in labels.flatten() {
+        *votes.entry(label).or_default() += 1;
+    }
+    votes
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
+        .map(|(label, _)| label.to_string())
+}
+
 /// A labelled database of indexable signatures.
 ///
 /// This is the paper's envisioned operator workflow (§2.2): signatures
@@ -192,10 +304,16 @@ pub(crate) struct ClusterCache {
 /// [`build`](Self::build) would produce over the surviving corpus.
 ///
 /// Doc ids are stable for the lifetime of the database: removal leaves
-/// a permanent hole, [`signatures`](Self::signatures) stays indexable
+/// a permanent hole, [`signature`](Self::signature) stays addressable
 /// by doc id, and [`len`](Self::len) counts live signatures only —
 /// until a [`vacuum`](Self::vacuum), which deliberately renumbers the
 /// live ids densely and reclaims the dead slots' memory.
+///
+/// The signatures live in [`ShardPiece`]s routed by a [`ShardRouter`]:
+/// one piece when built or loaded, re-routed once by a
+/// [`SignatureService`](crate::SignatureService), whose readers then
+/// search the pieces themselves. The piece count changes where
+/// documents are scored, never what they score.
 ///
 /// # Persistence
 ///
@@ -207,14 +325,9 @@ pub(crate) struct ClusterCache {
 #[derive(Debug, Clone)]
 pub struct SignatureDb {
     pub(crate) model: TfIdfModel,
-    pub(crate) signatures: Vec<Signature>,
-    pub(crate) index: InvertedIndex,
     /// Raw interval counts per doc-id slot (kept so refits can
     /// re-transform and removals can un-observe exactly).
     pub(crate) corpus: Corpus,
-    /// Liveness per doc-id slot.
-    pub(crate) live: Vec<bool>,
-    pub(crate) num_live: usize,
     /// Current idf generation; bumped by every refit.
     pub(crate) epoch: u64,
     /// Idf generation each stored vector was (re)computed under.
@@ -233,6 +346,10 @@ pub struct SignatureDb {
     /// Warm-start state for [`recluster`](Self::recluster). Derived,
     /// not persisted (see [`ClusterCache`]).
     pub(crate) cluster_cache: Option<ClusterCache>,
+    pub(crate) router: ShardRouter,
+    /// One piece per shard, `Arc`-shared with published snapshots; a
+    /// mutation copies only the piece it touches.
+    pub(crate) pieces: Vec<Arc<ShardPiece>>,
 }
 
 impl SignatureDb {
@@ -259,29 +376,17 @@ impl SignatureDb {
             corpus.push(r.to_term_counts());
         }
         let model = TfIdfModel::fit_with(&corpus, options)?;
-        let mut signatures = Vec::with_capacity(raw.len());
-        let mut index = InvertedIndex::new(dim);
-        for (r, doc) in raw.iter().zip(corpus.iter()) {
-            let vector = model.transform(doc);
-            index.insert(vector.clone())?;
-            signatures.push(Signature {
-                vector,
-                label: r.label.clone(),
-                started_at: r.started_at,
-                ended_at: r.ended_at,
-            });
-        }
-        // Bulk load finished: fold any tail postings into the flat buffer
-        // so queries stream one contiguous region.
-        index.optimize();
-        let n = signatures.len();
+        let router = ShardRouter::new(1);
+        let rows: Vec<(SparseVec, bool)> =
+            corpus.iter().map(|d| (model.transform(d), true)).collect();
+        let piece = ShardPiece {
+            shard: Shard::from_rows(0, router, dim, &rows)?,
+            meta: raw.iter().map(SlotMeta::of).collect(),
+        };
+        let n = raw.len();
         Ok(SignatureDb {
             model,
-            signatures,
-            index,
             corpus,
-            live: vec![true; n],
-            num_live: n,
             epoch: 0,
             doc_epoch: vec![0; n],
             refit_policy: RefitPolicy::default(),
@@ -290,6 +395,8 @@ impl SignatureDb {
             vacuums: 0,
             last_vacuum: None,
             cluster_cache: None,
+            router,
+            pieces: vec![Arc::new(piece)],
         })
     }
 
@@ -321,9 +428,13 @@ impl SignatureDb {
     ///
     /// # Errors
     ///
-    /// Returns a dimension mismatch on the first offending signature;
-    /// earlier elements of the batch remain inserted.
+    /// Returns a dimension mismatch when any element has the wrong
+    /// dimension; the batch is then refused whole and nothing is
+    /// inserted.
     pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
+        for r in raw {
+            self.check_insert(r)?;
+        }
         let mut ids = Vec::with_capacity(raw.len());
         for r in raw {
             ids.push(self.insert_stale(r)?);
@@ -332,30 +443,38 @@ impl SignatureDb {
         Ok(ids)
     }
 
-    /// The shared insert path: mutate df, transform with the current
-    /// (stale) generation, index, and track the epoch — no policy check.
-    fn insert_stale(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        let counts = raw.to_term_counts();
-        if counts.dim() != self.dim() {
+    /// Refuses counts outside the function space (an insert's only error).
+    pub(crate) fn check_insert(&self, raw: &RawSignature) -> Result<(), FmeterError> {
+        if raw.counts.len() != self.dim() {
             return Err(IrError::DimensionMismatch {
                 left: self.dim(),
-                right: counts.dim(),
+                right: raw.counts.len(),
             }
             .into());
         }
+        Ok(())
+    }
+
+    /// Refuses ids of no live signature (a removal's only error).
+    pub(crate) fn check_remove(&self, doc: DocId) -> Result<(), FmeterError> {
+        if !self.is_live(doc) {
+            return Err(IrError::DocNotLive(doc).into());
+        }
+        Ok(())
+    }
+
+    /// The shared insert path: mutate df, transform with the current
+    /// (stale) generation, index, and track the epoch — no policy check.
+    fn insert_stale(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
+        self.check_insert(raw)?;
+        let counts = raw.to_term_counts();
         self.model.observe(&counts);
         let vector = self.model.transform(&counts);
-        let id = self.index.insert(vector.clone())?;
+        let id = self.num_slots();
+        let s = self.router.shard_of(id);
+        Arc::make_mut(&mut self.pieces[s]).push(id, vector, SlotMeta::of(raw));
         self.corpus.push(counts);
-        self.signatures.push(Signature {
-            vector,
-            label: raw.label.clone(),
-            started_at: raw.started_at,
-            ended_at: raw.ended_at,
-        });
-        self.live.push(true);
         self.doc_epoch.push(self.epoch);
-        self.num_live += 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
             cache.assignment.push(None);
@@ -372,14 +491,11 @@ impl SignatureDb {
     /// Returns [`IrError::DocNotLive`] (wrapped) when `doc` was never
     /// assigned or is already removed.
     pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        if !self.is_live(doc) {
-            return Err(IrError::DocNotLive(doc).into());
-        }
-        self.index.remove(doc)?;
+        self.check_remove(doc)?;
+        let s = self.router.shard_of(doc);
+        Arc::make_mut(&mut self.pieces[s]).shard.remove(doc)?;
         self.model
             .unobserve(self.corpus.doc(doc).expect("slot exists for live doc"));
-        self.live[doc] = false;
-        self.num_live -= 1;
         self.mutations_since_refit += 1;
         if let Some(cache) = &mut self.cluster_cache {
             cache.assignment[doc] = None;
@@ -415,34 +531,38 @@ impl SignatureDb {
     /// The tf-idf model is untouched (document frequencies already
     /// describe the live corpus only) and the epoch does not advance:
     /// per-doc idf generations carry over, so a stale database stays
-    /// exactly as stale. The posting store is renumbered *in place* —
-    /// one O(nnz) pass of moves via
-    /// [`InvertedIndex::renumber_compact`], recomputing no weight — and
-    /// since every stored weight was already computed by the insert (or
-    /// refit) that produced it, the result is still bit-identical to a
-    /// fresh [`build`](Self::build)'s index over the surviving corpus.
+    /// exactly as stale. One piece is renumbered *in place* (one O(nnz)
+    /// pass of moves via [`InvertedIndex::renumber_compact`]); several
+    /// are re-routed once, since renumbering moves docs between shards.
+    /// No weight is recomputed, so search stays bit-identical to a fresh
+    /// [`build`](Self::build) over the surviving corpus.
     pub fn vacuum(&mut self) -> VacuumStats {
-        let slots = self.signatures.len();
+        let slots = self.num_slots();
+        let live: Vec<bool> = (0..slots).map(|d| self.is_live(d)).collect();
         let mut remap: Vec<Option<DocId>> = vec![None; slots];
         let mut next = 0usize;
         for (d, slot) in remap.iter_mut().enumerate() {
-            if self.live[d] {
+            if live[d] {
                 *slot = Some(next);
                 next += 1;
             }
         }
-        self.index
-            .renumber_compact(&remap)
-            .expect("live flags mirror the index tombstones");
+        if let [piece] = &mut self.pieces[..] {
+            let piece = Arc::make_mut(piece);
+            piece
+                .shard
+                .renumber_compact(&remap)
+                .expect("live flags mirror the index tombstones");
+            let meta = std::mem::take(&mut piece.meta);
+            piece.meta = meta
+                .into_iter()
+                .zip(&live)
+                .filter_map(|(m, &l)| l.then_some(m))
+                .collect();
+        } else {
+            self.pieces = self.route(self.router, (0..slots).filter(|&d| live[d]));
+        }
         // Repack the side arrays with moves (no clones, no re-weighting).
-        let live = std::mem::take(&mut self.live);
-        let old_signatures = std::mem::take(&mut self.signatures);
-        self.signatures = old_signatures
-            .into_iter()
-            .enumerate()
-            .filter(|(d, _)| live[*d])
-            .map(|(_, sig)| sig)
-            .collect();
         let dim = self.dim();
         let old_corpus = std::mem::replace(&mut self.corpus, Corpus::new(dim));
         let mut corpus = Corpus::new(dim);
@@ -470,15 +590,93 @@ impl SignatureDb {
                 .map(|(_, a)| a)
                 .collect();
         }
-        self.live = vec![true; self.num_live];
         self.vacuums += 1;
         let stats = VacuumStats {
-            dropped_slots: slots - self.num_live,
-            live_docs: self.num_live,
+            dropped_slots: slots - next,
+            live_docs: next,
             remap,
         };
         self.last_vacuum = Some(stats.clone());
         stats
+    }
+
+    /// Copies the slots `slots` yields into fresh, compacted pieces of
+    /// `router`'s layout (the `i`-th becomes doc `i`, keeping liveness
+    /// and the quantization mode), one piece at a time so only one
+    /// piece's rows are ever copied out at once.
+    fn route(
+        &self,
+        router: ShardRouter,
+        slots: impl Iterator<Item = DocId>,
+    ) -> Vec<Arc<ShardPiece>> {
+        let slots: Vec<DocId> = slots.collect();
+        (0..router.num_shards())
+            .map(|s| {
+                let (rows, meta): (Vec<_>, Vec<_>) = (0..)
+                    .map(|local| router.global_of(s, local))
+                    .take_while(|&new| new < slots.len())
+                    .map(|new| {
+                        let (old, from) = (slots[new], self.piece(slots[new]));
+                        let meta = from.meta[from.local(old)].clone();
+                        ((from.vector(old), from.shard.is_live(old)), meta)
+                    })
+                    .unzip();
+                let mut shard = Shard::from_rows(s, router, self.dim(), &rows)
+                    .expect("stored vectors share the database dimension");
+                shard.set_quantization(self.quantization());
+                Arc::new(ShardPiece { shard, meta })
+            })
+            .collect()
+    }
+
+    /// Re-routes into `num_shards` pieces (at least 1), keeping doc ids
+    /// and search results.
+    pub(crate) fn reshard(&mut self, num_shards: usize) {
+        let router = ShardRouter::new(num_shards);
+        if router != self.router {
+            self.pieces = self.route(router, 0..self.num_slots());
+            self.router = router;
+        }
+    }
+
+    /// Number of pieces the stored signatures are routed across.
+    pub fn num_shards(&self) -> usize {
+        self.router.num_shards()
+    }
+
+    /// The piece holding doc `doc`.
+    fn piece(&self, doc: DocId) -> &ShardPiece {
+        &self.pieces[self.router.shard_of(doc)]
+    }
+
+    /// Every slot as one piece in global ids (a save's flat `index` and
+    /// `signatures` sections): the lone piece, or several re-routed.
+    pub(crate) fn flat_piece(&self) -> Arc<ShardPiece> {
+        match &self.pieces[..] {
+            [piece] => Arc::clone(piece),
+            _ => self
+                .route(ShardRouter::new(1), 0..self.num_slots())
+                .remove(0),
+        }
+    }
+
+    /// The lone piece of a loaded database.
+    pub(crate) fn piece_from_parts(
+        index: InvertedIndex,
+        signatures: Vec<Signature>,
+    ) -> Result<Arc<ShardPiece>, FmeterError> {
+        let mut vectors = fmeter_ir::CsrMatrix::new(index.dim());
+        let mut meta = Vec::with_capacity(signatures.len());
+        for sig in signatures {
+            vectors.push_row(&sig.vector)?;
+            meta.push(SlotMeta {
+                label: sig.label.map(Arc::from),
+                started_at: sig.started_at,
+                ended_at: sig.ended_at,
+            });
+        }
+        let shard = Shard::from_parts(0, ShardRouter::new(1), index, vectors)?;
+        Ok(Arc::new(ShardPiece { shard, meta }))
     }
 
     /// Runs the configured [`VacuumPolicy`], vacuuming when due.
@@ -490,9 +688,9 @@ impl SignatureDb {
         else {
             return None;
         };
-        let dead = self.signatures.len() - self.num_live;
-        let due = dead >= min_dead.max(1)
-            && dead as f64 >= max_dead_fraction * self.signatures.len() as f64;
+        let dead = self.num_slots() - self.len();
+        let due =
+            dead >= min_dead.max(1) && dead as f64 >= max_dead_fraction * self.num_slots() as f64;
         if due {
             self.vacuum();
             self.last_vacuum.as_ref()
@@ -530,10 +728,10 @@ impl SignatureDb {
     /// Fraction of the slot space occupied by tombstones (`0.0` for an
     /// empty database) — what [`VacuumPolicy::DeadFraction`] watches.
     pub fn dead_fraction(&self) -> f64 {
-        if self.signatures.is_empty() {
+        if self.num_slots() == 0 {
             0.0
         } else {
-            (self.signatures.len() - self.num_live) as f64 / self.signatures.len() as f64
+            (self.num_slots() - self.len()) as f64 / self.num_slots() as f64
         }
     }
 
@@ -543,11 +741,11 @@ impl SignatureDb {
     ///
     /// Only signatures containing at least one changed term are
     /// re-transformed (an unchanged-idf support yields a bit-identical
-    /// vector); the posting store is then rewritten from the live
-    /// vectors — which also purges any tombstoned postings and tightens
-    /// the per-term max-impact bounds. After this call the database
-    /// matches a from-scratch [`build`](Self::build) over the surviving
-    /// corpus exactly.
+    /// vector); each piece's postings are then rewritten once from its
+    /// live vectors — which also purges any tombstoned postings and
+    /// tightens the per-term max-impact bounds. After this call the
+    /// database matches a from-scratch [`build`](Self::build) over the
+    /// surviving corpus exactly.
     pub fn refit(&mut self) -> RefitStats {
         self.epoch += 1;
         self.mutations_since_refit = 0;
@@ -563,33 +761,35 @@ impl SignatureDb {
             // promises a tombstone-free posting store with tight bounds
             // (reachable e.g. under IdfMode::Unit, or when mutations net
             // out) — optimize() purges if any tombstones linger.
-            self.index.optimize();
+            for piece in &mut self.pieces {
+                Arc::make_mut(piece).shard.optimize();
+            }
             return stats;
         }
         let mut changed = vec![false; self.dim()];
         for &t in &refit.changed_terms {
             changed[t as usize] = true;
         }
-        for d in 0..self.signatures.len() {
-            if !self.live[d] {
-                continue;
+        let (router, dim, mode) = (self.router, self.dim(), self.quantization());
+        for (s, piece) in self.pieces.iter_mut().enumerate() {
+            let piece = Arc::make_mut(piece);
+            let mut rows = Vec::with_capacity(piece.meta.len());
+            for local in 0..piece.meta.len() {
+                let d = router.global_of(s, local);
+                let live = piece.shard.is_live(d);
+                let doc = self.corpus.doc(d).expect("slot exists");
+                if live && doc.iter().any(|(t, _)| changed[t as usize]) {
+                    self.doc_epoch[d] = self.epoch;
+                    stats.reweighted_docs += 1;
+                    rows.push((self.model.transform(doc), live));
+                } else {
+                    rows.push((piece.vector(d), live));
+                }
             }
-            let doc = self.corpus.doc(d).expect("slot exists");
-            if doc.iter().any(|(t, _)| changed[t as usize]) {
-                self.signatures[d].vector = self.model.transform(doc);
-                self.doc_epoch[d] = self.epoch;
-                stats.reweighted_docs += 1;
-            }
+            piece.shard = Shard::from_rows(s, router, dim, &rows)
+                .expect("stored vectors share the database dimension");
+            piece.shard.set_quantization(mode);
         }
-        let signatures = &self.signatures;
-        let live = &self.live;
-        self.index
-            .rebuild_postings(
-                (0..signatures.len())
-                    .filter(|&d| live[d])
-                    .map(|d| (d, &signatures[d].vector)),
-            )
-            .expect("live vectors are consistent with the index");
         stats
     }
 
@@ -606,10 +806,10 @@ impl SignatureDb {
                 max_idf_drift,
                 max_stale_fraction,
             } => {
+                let live = self.len();
                 self.mutations_since_refit > 0
-                    && ((self.num_live > 0
-                        && self.mutations_since_refit as f64
-                            >= max_stale_fraction * self.num_live as f64)
+                    && ((live > 0
+                        && self.mutations_since_refit as f64 >= max_stale_fraction * live as f64)
                         || self.model.idf_drift_cached() > max_idf_drift)
             }
         };
@@ -652,22 +852,22 @@ impl SignatureDb {
     /// Returns `true` when `doc` names a live (inserted, not removed)
     /// signature.
     pub fn is_live(&self, doc: DocId) -> bool {
-        self.live.get(doc).copied().unwrap_or(false)
+        self.piece(doc).shard.is_live(doc)
     }
 
     /// Number of live signatures.
     pub fn len(&self) -> usize {
-        self.num_live
+        self.pieces.iter().map(|p| p.shard.live_len()).sum()
     }
 
     /// Number of doc-id slots ever assigned (live + tombstoned).
     pub fn num_slots(&self) -> usize {
-        self.signatures.len()
+        self.corpus.len()
     }
 
     /// Returns `true` when no live signature is stored.
     pub fn is_empty(&self) -> bool {
-        self.num_live == 0
+        self.len() == 0
     }
 
     /// Dimensionality of the signature space.
@@ -680,11 +880,21 @@ impl SignatureDb {
         &self.model
     }
 
-    /// The stored signature slots, indexable by [`DocId`]. Removed
+    /// The stored signature at `doc`, copied out of its piece. Removed
     /// slots keep their last contents — check [`is_live`](Self::is_live)
     /// when iterating a database that saw removals.
-    pub fn signatures(&self) -> &[Signature] {
-        &self.signatures
+    ///
+    /// # Panics
+    ///
+    /// Panics when `doc >= num_slots()`.
+    pub fn signature(&self, doc: DocId) -> Signature {
+        assert!(doc < self.num_slots(), "doc {doc} was never assigned");
+        self.piece(doc).signature(doc)
+    }
+
+    /// The label stored at slot `doc`.
+    fn label(&self, doc: DocId) -> Option<&str> {
+        self.piece(doc).label(doc)
     }
 
     /// Transforms raw interval counts with the database's tf-idf model
@@ -696,7 +906,7 @@ impl SignatureDb {
     /// How the index stores its compacted posting weights (see
     /// [`fmeter_ir::QuantizationMode`]).
     pub fn quantization(&self) -> fmeter_ir::QuantizationMode {
-        self.index.quantization()
+        self.pieces[0].shard.index().quantization()
     }
 
     /// Switches the index's compacted posting weights between exact
@@ -706,17 +916,19 @@ impl SignatureDb {
     /// vacuums, refits, and v6+ saves; saving as an older format
     /// version downgrades to the dequantized `f64` weights.
     pub fn set_quantization(&mut self, mode: fmeter_ir::QuantizationMode) {
-        self.index.set_quantization(mode);
+        for piece in &mut self.pieces {
+            Arc::make_mut(piece).shard.set_quantization(mode);
+        }
     }
 
-    /// Finds the `k` most similar stored signatures to a fresh interval.
+    /// Finds the `k` most similar stored signatures to a fresh interval,
+    /// as `(doc id, signature, score)` rows, best first.
     ///
-    /// Goes through [`InvertedIndex::search`], which at database scale
-    /// dispatches to the block-max WAND early-exit top-k (per-term
-    /// impact bounds pick the pivot, per-block maxima skip whole
-    /// posting blocks that cannot reach the current k-th best
-    /// similarity). For a steady query stream, prefer
-    /// [`search_with`](Self::search_with) with a long-lived scratch.
+    /// Each piece goes through [`Shard::search_with`], which at database
+    /// scale dispatches to the block-max WAND early-exit top-k, and the
+    /// per-piece lists merge into the global top-k. For a steady query
+    /// stream, prefer [`search_with`](Self::search_with) with a
+    /// long-lived scratch.
     ///
     /// # Errors
     ///
@@ -725,7 +937,7 @@ impl SignatureDb {
         &self,
         counts: &TermCounts,
         k: usize,
-    ) -> Result<Vec<(&Signature, f64)>, FmeterError> {
+    ) -> Result<Vec<(DocId, Signature, f64)>, FmeterError> {
         self.search_with(counts, k, &mut SearchScratch::new())
     }
 
@@ -741,13 +953,10 @@ impl SignatureDb {
         counts: &TermCounts,
         k: usize,
         scratch: &mut SearchScratch,
-    ) -> Result<Vec<(&Signature, f64)>, FmeterError> {
-        let query = self.transform(counts);
-        let hits = self.index.search_with(&query, k, scratch)?;
-        Ok(hits
-            .into_iter()
-            .map(|h| (&self.signatures[h.doc], h.score))
-            .collect())
+    ) -> Result<Vec<(DocId, Signature, f64)>, FmeterError> {
+        let shards = self.pieces.iter().map(|p| p.shard());
+        let hits = search_sharded(shards, &self.transform(counts), k, scratch)?;
+        Ok(resolve_hits(self.router, &self.pieces, hits))
     }
 
     /// Classifies a fresh interval by majority label among its `k`
@@ -759,16 +968,14 @@ impl SignatureDb {
     /// Propagates dimension mismatches.
     pub fn classify(&self, counts: &TermCounts, k: usize) -> Result<Option<String>, FmeterError> {
         let hits = self.search(counts, k)?;
-        let mut votes: HashMap<&str, usize> = HashMap::new();
-        for (sig, _) in &hits {
-            if let Some(label) = sig.label.as_deref() {
-                *votes.entry(label).or_default() += 1;
-            }
-        }
-        Ok(votes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(label, _)| label.to_string()))
+        Ok(vote(hits.iter().map(|(_, sig, _)| sig.label.as_deref())))
+    }
+
+    /// The live doc ids in ascending order, with their stored vectors.
+    fn live_vectors(&self) -> (Vec<DocId>, Vec<SparseVec>) {
+        let live_ids: Vec<DocId> = (0..self.num_slots()).filter(|&d| self.is_live(d)).collect();
+        let vectors = live_ids.iter().map(|&d| self.piece(d).vector(d)).collect();
+        (live_ids, vectors)
     }
 
     /// Clusters all signatures into `k` syndromes with seeded K-means.
@@ -777,13 +984,7 @@ impl SignatureDb {
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn syndromes(&self, k: usize, seed: u64) -> Result<Vec<Syndrome>, FmeterError> {
-        let live_ids: Vec<usize> = (0..self.signatures.len())
-            .filter(|&d| self.live[d])
-            .collect();
-        let vectors: Vec<SparseVec> = live_ids
-            .iter()
-            .map(|&d| self.signatures[d].vector.clone())
-            .collect();
+        let (live_ids, vectors) = self.live_vectors();
         let result = KMeans::new(k).seed(seed).restarts(3).run(&vectors)?;
         Ok(self.syndromes_from(&live_ids, result.centroids, &result.assignments))
     }
@@ -810,16 +1011,7 @@ impl SignatureDb {
             syndromes[cluster].members.push(live_ids[i]);
         }
         for syndrome in &mut syndromes {
-            let mut votes: HashMap<&str, usize> = HashMap::new();
-            for &m in &syndrome.members {
-                if let Some(label) = self.signatures[m].label.as_deref() {
-                    *votes.entry(label).or_default() += 1;
-                }
-            }
-            syndrome.dominant_label = votes
-                .into_iter()
-                .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-                .map(|(l, _)| l.to_string());
+            syndrome.dominant_label = vote(syndrome.members.iter().map(|&m| self.label(m)));
         }
         syndromes
     }
@@ -852,13 +1044,7 @@ impl SignatureDb {
     ///
     /// Propagates clustering failures (e.g. fewer signatures than `k`).
     pub fn recluster(&mut self, k: usize, seed: u64) -> Result<Recluster, FmeterError> {
-        let live_ids: Vec<usize> = (0..self.signatures.len())
-            .filter(|&d| self.live[d])
-            .collect();
-        let vectors: Vec<SparseVec> = live_ids
-            .iter()
-            .map(|&d| self.signatures[d].vector.clone())
-            .collect();
+        let (live_ids, vectors) = self.live_vectors();
         let prev = self.warm_assignment(k, seed, &live_ids, &vectors);
         let (result, warm) = match prev {
             Some(prev) => match KMeans::new(k).seed(seed).fit_warm(&vectors, &prev) {
@@ -869,7 +1055,7 @@ impl SignatureDb {
             },
             None => (KMeans::new(k).seed(seed).restarts(3).run(&vectors)?, false),
         };
-        let mut assignment = vec![None; self.signatures.len()];
+        let mut assignment = vec![None; self.num_slots()];
         for (i, &d) in live_ids.iter().enumerate() {
             assignment[d] = Some(result.assignments[i]);
         }
@@ -953,12 +1139,14 @@ impl SignatureDb {
     pub fn explain_syndrome(&self, syndrome: &Syndrome, k: usize) -> Vec<(u32, f64, f64)> {
         // Corpus mean weight per term (live signatures only).
         let mut mean = vec![0.0f64; self.dim()];
-        for (s, _) in self.signatures.iter().zip(&self.live).filter(|(_, &l)| l) {
-            for (t, w) in s.vector.iter() {
+        for d in (0..self.num_slots()).filter(|&d| self.is_live(d)) {
+            let piece = self.piece(d);
+            let (terms, weights) = piece.shard.vectors().row(piece.local(d));
+            for (&t, &w) in terms.iter().zip(weights) {
                 mean[t as usize] += w;
             }
         }
-        let n = self.num_live.max(1) as f64;
+        let n = self.len().max(1) as f64;
         for m in &mut mean {
             *m /= n;
         }
@@ -1053,7 +1241,7 @@ mod tests {
         assert_eq!(db.len(), 12);
         assert_eq!(db.dim(), 8);
         assert!(!db.is_empty());
-        assert_eq!(db.signatures().len(), 12);
+        assert_eq!(db.num_slots(), 12);
     }
 
     #[test]
@@ -1082,7 +1270,7 @@ mod tests {
         let a = db.search(&probe, 3).unwrap();
         let b = back.search(&probe, 3).unwrap();
         assert_eq!(a.len(), b.len());
-        for ((s1, sc1), (s2, sc2)) in a.iter().zip(&b) {
+        for ((_, s1, sc1), (_, s2, sc2)) in a.iter().zip(&b) {
             assert_eq!(s1.label, s2.label);
             assert_eq!(sc1.to_bits(), sc2.to_bits());
         }
@@ -1094,7 +1282,7 @@ mod tests {
         let query = TermCounts::from_dense(&[45, 38, 28, 22, 0, 0, 0, 0]);
         let hits = db.search(&query, 3).unwrap();
         assert_eq!(hits.len(), 3);
-        for (sig, score) in &hits {
+        for (_, sig, score) in &hits {
             assert_eq!(sig.label.as_deref(), Some("a"));
             assert!(*score > 0.5);
         }
@@ -1112,7 +1300,7 @@ mod tests {
             let fresh = db.search(&query, 4).unwrap();
             let reused = db.search_with(&query, 4, &mut scratch).unwrap();
             assert_eq!(fresh.len(), reused.len());
-            for ((s1, d1), (s2, d2)) in fresh.iter().zip(&reused) {
+            for ((_, s1, d1), (_, s2, d2)) in fresh.iter().zip(&reused) {
                 assert_eq!(s1.label, s2.label);
                 assert_eq!(d1, d2);
             }
@@ -1312,9 +1500,12 @@ mod tests {
         let fresh = SignatureDb::build(surviving).unwrap();
         assert_eq!(db.len(), fresh.len());
         let live: Vec<usize> = (0..db.num_slots()).filter(|&d| db.is_live(d)).collect();
-        for (&d, f) in live.iter().zip(fresh.signatures()) {
+        for (&d, f) in live
+            .iter()
+            .zip((0..fresh.num_slots()).map(|d| fresh.signature(d)))
+        {
             assert_eq!(
-                db.signatures()[d].vector,
+                db.signature(d).vector,
                 f.vector,
                 "doc {d} vector drifted from rebuild"
             );
@@ -1324,7 +1515,7 @@ mod tests {
             let a = db.search(&q, 5).unwrap();
             let b = fresh.search(&q, 5).unwrap();
             assert_eq!(a.len(), b.len());
-            for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
+            for ((_, s1, d1), (_, s2, d2)) in a.iter().zip(&b) {
                 assert_eq!(s1.label, s2.label);
                 assert!((d1 - d2).abs() < 1e-9, "{d1} vs {d2}");
             }
@@ -1364,7 +1555,7 @@ mod tests {
         let single_ids: Vec<usize> = extra.iter().map(|r| b.insert(r).unwrap()).collect();
         assert_eq!(batch_ids, single_ids);
         for d in 0..a.num_slots() {
-            assert_eq!(a.signatures()[d].vector, b.signatures()[d].vector);
+            assert_eq!(a.signature(d).vector, b.signature(d).vector);
         }
     }
 
@@ -1383,7 +1574,7 @@ mod tests {
         assert!(db.is_live(0));
         let b_query = TermCounts::from_dense(&[0, 0, 0, 0, 55, 48, 41, 33]);
         // No live "b" signature remains to vote.
-        for (sig, _) in db.search(&b_query, 5).unwrap() {
+        for (_, sig, _) in db.search(&b_query, 5).unwrap() {
             assert_eq!(sig.label.as_deref(), Some("a"));
         }
         db.refit();
@@ -1427,14 +1618,16 @@ mod tests {
     #[test]
     fn refit_without_mutations_changes_nothing() {
         let mut db = SignatureDb::build(&sample_raw()).unwrap();
-        let before: Vec<SparseVec> = db.signatures().iter().map(|s| s.vector.clone()).collect();
+        let before: Vec<SparseVec> = (0..db.num_slots())
+            .map(|d| db.signature(d).vector)
+            .collect();
         let stats = db.refit();
         assert_eq!(stats.changed_terms, 0);
         assert_eq!(stats.reweighted_docs, 0);
         assert_eq!(stats.max_idf_drift, 0.0);
         assert_eq!(db.epoch(), 1);
-        for (s, b) in db.signatures().iter().zip(&before) {
-            assert_eq!(&s.vector, b);
+        for (d, b) in before.iter().enumerate() {
+            assert_eq!(&db.signature(d).vector, b);
         }
     }
 
@@ -1539,7 +1732,7 @@ mod tests {
         let stats = db.vacuum();
         assert_eq!(stats.dropped_slots, 4);
         // Per-doc epochs carry over through the renumbering.
-        assert!(db.signatures().len() == db.len());
+        assert!(db.num_slots() == db.len());
         let surviving: Vec<RawSignature> = (0..raw.len())
             .filter(|d| ![0usize, 5, 13, 17].contains(d))
             .map(|d| raw[d].clone())
@@ -1576,13 +1769,15 @@ mod tests {
     #[test]
     fn vacuum_on_clean_database_is_identity() {
         let mut db = SignatureDb::build(&sample_raw()).unwrap();
-        let before: Vec<SparseVec> = db.signatures().iter().map(|s| s.vector.clone()).collect();
+        let before: Vec<SparseVec> = (0..db.num_slots())
+            .map(|d| db.signature(d).vector)
+            .collect();
         let stats = db.vacuum();
         assert_eq!(stats.dropped_slots, 0);
         assert_eq!(stats.live_docs, 12);
         assert!(stats.remap.iter().enumerate().all(|(d, m)| *m == Some(d)));
-        for (s, b) in db.signatures().iter().zip(&before) {
-            assert_eq!(&s.vector, b);
+        for (d, b) in before.iter().enumerate() {
+            assert_eq!(&db.signature(d).vector, b);
         }
         let query = TermCounts::from_dense(&[45, 38, 28, 22, 0, 0, 0, 0]);
         assert_eq!(db.classify(&query, 3).unwrap().as_deref(), Some("a"));

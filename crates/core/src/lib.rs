@@ -61,15 +61,15 @@ pub mod wal;
 
 pub use anomaly::{AnomalyDetector, AnomalyVerdict};
 pub use db::{
-    Recluster, RefitPolicy, RefitStats, SignatureDb, Syndrome, VacuumPolicy, VacuumStats,
+    Recluster, RefitPolicy, RefitStats, ShardPiece, SignatureDb, Syndrome, VacuumPolicy,
+    VacuumStats,
 };
 pub use error::FmeterError;
 pub use fmeter::Fmeter;
 pub use logger::SignatureLogger;
-pub use service::{ShardPiece, ShardSnapshot, ShardWriter, SignatureService};
+pub use service::{ShardSnapshot, ShardWriter, SignatureService};
 pub use signature::{RawSignature, Signature};
 pub use userspace::{sample_via_debugfs, DebugfsReader, SymbolMap};
 pub use wal::{
-    CheckpointPolicy, DurableDb, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth,
-    WalOp,
+    CheckpointPolicy, DurableLog, DurableOptions, RecoveryReport, SyncPolicy, WalHealth, WalOp,
 };

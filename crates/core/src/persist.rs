@@ -340,39 +340,18 @@ fn section_bin_as<T: Deserialize + BinCodec>(env: &Envelope, name: &str) -> Resu
 // ---- writing ---------------------------------------------------------
 
 /// Serialises `db` as on-disk format `version` (used by
-/// [`SignatureDb::save`] / [`SignatureDb::save_as_version`]).
+/// [`SignatureDb::save`] / [`SignatureDb::save_as_version`] and the
+/// [`SignatureService`](crate::SignatureService) save). Format v3 and
+/// later also record the shard count; older versions drop it.
 ///
 /// # Errors
 ///
 /// Returns [`FmeterError::UnsupportedFormat`] for versions outside
 /// [`FORMAT_VERSIONS`] and propagates I/O failures.
 pub fn save<W: Write>(db: &SignatureDb, version: u32, writer: W) -> Result<(), FmeterError> {
-    save_sharded(db, 1, version, writer)
-}
-
-/// Serialises `db` together with a [`SignatureService`] shard layout
-/// (used by [`SignatureService::save`]). Only format version 3 carries
-/// the layout; writing an older version silently drops it (that is the
-/// format those releases read).
-///
-/// [`SignatureService`]: crate::SignatureService
-/// [`SignatureService::save`]: crate::SignatureService::save
-///
-/// # Errors
-///
-/// Returns [`FmeterError::UnsupportedFormat`] for versions outside
-/// [`FORMAT_VERSIONS`] and propagates I/O failures.
-pub fn save_sharded<W: Write>(
-    db: &SignatureDb,
-    num_shards: usize,
-    version: u32,
-    writer: W,
-) -> Result<(), FmeterError> {
     match version {
         0 => save_v0(db, writer),
-        1..=CURRENT_FORMAT_VERSION => {
-            write_envelope(&encode_sharded(db, num_shards, version), writer)
-        }
+        1..=CURRENT_FORMAT_VERSION => write_envelope(&encode(db, version), writer),
         found => Err(FmeterError::UnsupportedFormat {
             found,
             supported: CURRENT_FORMAT_VERSION,
@@ -380,16 +359,29 @@ pub fn save_sharded<W: Write>(
     }
 }
 
+/// Every stored signature (the JSON layouts before v5).
+fn signatures(db: &SignatureDb) -> Vec<Signature> {
+    (0..db.num_slots()).map(|d| db.signature(d)).collect()
+}
+
+/// Liveness per slot (the state section's `live`).
+fn liveness(db: &SignatureDb) -> Vec<bool> {
+    (0..db.num_slots()).map(|d| db.is_live(d)).collect()
+}
+
 /// The pre-envelope layout: one bare JSON object holding every field of
 /// the database struct as the old `#[derive(Serialize)]` emitted it.
 fn save_v0<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
     let value = Value::Object(vec![
         ("model".to_string(), db.model.to_value()),
-        ("signatures".to_string(), db.signatures.to_value()),
-        ("index".to_string(), db.index.to_value()),
+        ("signatures".to_string(), signatures(db).to_value()),
+        (
+            "index".to_string(),
+            db.flat_piece().shard().index().to_value(),
+        ),
         ("corpus".to_string(), db.corpus.to_value()),
-        ("live".to_string(), db.live.to_value()),
-        ("num_live".to_string(), db.num_live.to_value()),
+        ("live".to_string(), liveness(db).to_value()),
+        ("num_live".to_string(), db.len().to_value()),
         ("epoch".to_string(), db.epoch.to_value()),
         ("doc_epoch".to_string(), db.doc_epoch.to_value()),
         ("refit_policy".to_string(), db.refit_policy.to_value()),
@@ -402,12 +394,12 @@ fn save_v0<W: Write>(db: &SignatureDb, writer: W) -> Result<(), FmeterError> {
     Ok(())
 }
 
-fn encode_sharded(db: &SignatureDb, num_shards: usize, version: u32) -> Envelope {
+fn encode(db: &SignatureDb, version: u32) -> Envelope {
     debug_assert!((1..=CURRENT_FORMAT_VERSION).contains(&version));
     let state = if version == 1 {
         StateV1 {
-            live: db.live.clone(),
-            num_live: db.num_live,
+            live: liveness(db),
+            num_live: db.len(),
             epoch: db.epoch,
             doc_epoch: db.doc_epoch.clone(),
             refit_policy: db.refit_policy,
@@ -416,8 +408,8 @@ fn encode_sharded(db: &SignatureDb, num_shards: usize, version: u32) -> Envelope
         .to_value()
     } else {
         StateV2 {
-            live: db.live.clone(),
-            num_live: db.num_live,
+            live: liveness(db),
+            num_live: db.len(),
             epoch: db.epoch,
             doc_epoch: db.doc_epoch.clone(),
             refit_policy: db.refit_policy,
@@ -431,14 +423,18 @@ fn encode_sharded(db: &SignatureDb, num_shards: usize, version: u32) -> Envelope
     // versions keep the JSON value trees their fixtures pin. Within the
     // binary era, v5 pins the legacy flat-postings index layout and v6
     // the block-max/quantization one.
+    let flat = db.flat_piece();
+    let index = flat.shard().index();
     let mut sections = if version >= 5 {
         let index_bytes = if version >= 6 {
-            fmeter_ir::codec::encode_to_vec(&db.index)
+            fmeter_ir::codec::encode_to_vec(index)
         } else {
             let mut out = Vec::new();
-            db.index.encode_bin_legacy(&mut out);
+            index.encode_bin_legacy(&mut out);
             out
         };
+        let mut signature_bytes = Vec::new();
+        flat.encode_signatures(&mut signature_bytes);
         vec![
             (
                 SEC_MODEL.to_string(),
@@ -448,10 +444,7 @@ fn encode_sharded(db: &SignatureDb, num_shards: usize, version: u32) -> Envelope
                 SEC_CORPUS.to_string(),
                 Section::Bin(fmeter_ir::codec::encode_to_vec(&db.corpus)),
             ),
-            (
-                SEC_SIGNATURES.to_string(),
-                Section::Bin(fmeter_ir::codec::encode_to_vec(&db.signatures)),
-            ),
+            (SEC_SIGNATURES.to_string(), Section::Bin(signature_bytes)),
             (SEC_INDEX.to_string(), Section::Bin(index_bytes)),
             (SEC_STATE.to_string(), Section::Parsed(state)),
         ]
@@ -464,16 +457,21 @@ fn encode_sharded(db: &SignatureDb, num_shards: usize, version: u32) -> Envelope
             ),
             (
                 SEC_SIGNATURES.to_string(),
-                Section::Parsed(db.signatures.to_value()),
+                Section::Parsed(signatures(db).to_value()),
             ),
-            (SEC_INDEX.to_string(), Section::Parsed(db.index.to_value())),
+            (SEC_INDEX.to_string(), Section::Parsed(index.to_value())),
             (SEC_STATE.to_string(), Section::Parsed(state)),
         ]
     };
     if version >= 3 {
         sections.push((
             SEC_SHARDING.to_string(),
-            Section::Parsed(ShardingV3 { num_shards }.to_value()),
+            Section::Parsed(
+                ShardingV3 {
+                    num_shards: db.num_shards(),
+                }
+                .to_value(),
+            ),
         ));
     }
     Envelope { version, sections }
@@ -880,9 +878,9 @@ pub fn load<R: Read>(reader: R) -> Result<SignatureDb, FmeterError> {
 }
 
 /// Like [`load`], additionally returning the persisted
-/// [`SignatureService`](crate::SignatureService) shard layout. Saves
-/// older than format v3 (which could not carry a layout) come back as
-/// one shard.
+/// [`SignatureService`](crate::SignatureService) shard layout (the
+/// database itself comes back as one piece). Saves older than format
+/// v3 (which could not carry a layout) come back as one shard.
 ///
 /// # Errors
 ///
@@ -950,11 +948,7 @@ fn decode(env: &Envelope) -> Result<SignatureDb, FmeterError> {
     }
     Ok(SignatureDb {
         model,
-        signatures,
-        index,
         corpus,
-        live: state.live,
-        num_live: state.num_live,
         epoch: state.epoch,
         doc_epoch: state.doc_epoch,
         refit_policy: state.refit_policy,
@@ -965,6 +959,8 @@ fn decode(env: &Envelope) -> Result<SignatureDb, FmeterError> {
         // Warm-start clustering state is process-local, like the vacuum
         // remap above: a loaded database reclusters cold once.
         cluster_cache: None,
+        router: fmeter_ir::ShardRouter::new(1),
+        pieces: vec![SignatureDb::piece_from_parts(index, signatures)?],
     })
 }
 
@@ -1031,13 +1027,13 @@ mod tests {
         for d in 0..a.num_slots() {
             assert_eq!(a.is_live(d), b.is_live(d));
             assert_eq!(a.doc_epoch(d), b.doc_epoch(d));
-            assert_eq!(a.signatures()[d].vector, b.signatures()[d].vector);
+            assert_eq!(a.signature(d).vector, b.signature(d).vector);
         }
         let q = TermCounts::from_dense(&[42, 30, 20, 11, 0, 0, 1, 0]);
         let ha = a.search(&q, 4).unwrap();
         let hb = b.search(&q, 4).unwrap();
         assert_eq!(ha.len(), hb.len());
-        for ((s1, d1), (s2, d2)) in ha.iter().zip(&hb) {
+        for ((_, s1, d1), (_, s2, d2)) in ha.iter().zip(&hb) {
             assert_eq!(s1.label, s2.label);
             assert_eq!(d1, d2);
         }
@@ -1252,7 +1248,7 @@ mod tests {
         // disagrees with the index's own tombstones must not load: the
         // database would search docs it reports as dead.
         let db = sample_db();
-        let mut env = encode_sharded(&db, 1, CURRENT_FORMAT_VERSION);
+        let mut env = encode(&db, CURRENT_FORMAT_VERSION);
         let mut state: StateV2 = section_as(&env, SEC_STATE).unwrap();
         let victim = state.live.iter().position(|&l| l).unwrap();
         state.live[victim] = false;
@@ -1326,8 +1322,10 @@ mod tests {
     #[test]
     fn sharded_saves_round_trip_the_layout() {
         let db = sample_db();
+        let mut sharded = db.clone();
+        sharded.reshard(4);
         let mut bytes = Vec::new();
-        save_sharded(&db, 4, CURRENT_FORMAT_VERSION, &mut bytes).unwrap();
+        save(&sharded, CURRENT_FORMAT_VERSION, &mut bytes).unwrap();
         let (restored, num_shards) = load_sharded(&bytes[..]).unwrap();
         assert_eq!(num_shards, 4);
         assert_equivalent(&db, &restored);
@@ -1341,7 +1339,7 @@ mod tests {
         let (_, migrated_shards) = load_sharded(&old[..]).unwrap();
         assert_eq!(migrated_shards, 1);
         // A zero-shard layout is rejected, not served.
-        let mut env = encode_sharded(&db, 4, CURRENT_FORMAT_VERSION);
+        let mut env = encode(&sharded, CURRENT_FORMAT_VERSION);
         env.replace(SEC_SHARDING, ShardingV3 { num_shards: 0 }.to_value());
         let mut bad = Vec::new();
         write_envelope(&env, &mut bad).unwrap();

@@ -1,47 +1,43 @@
 //! Concurrently-readable signature serving: a single-writer
-//! [`ShardWriter`] that mirrors a [`SignatureDb`] into per-shard search
-//! structures, immutable [`ShardSnapshot`] generations published by
-//! atomic swap, and the [`SignatureService`] facade that fans queries
-//! across the shards on a persistent worker pool.
+//! [`ShardWriter`] over a sharded [`SignatureDb`], immutable
+//! [`ShardSnapshot`] generations published by atomic swap, and the
+//! [`SignatureService`] facade that fans queries across the shards on a
+//! persistent worker pool.
 //!
 //! The concurrency model (see `docs/ARCHITECTURE.md` for the narrative):
 //!
 //! * **One writer.** All mutations — insert, remove, refit, vacuum —
-//!   funnel through the `ShardWriter` behind a mutex. The writer owns
-//!   the authoritative flat [`SignatureDb`] plus one [`Shard`] per
-//!   router slot and keeps them in lockstep: cheap mutations patch the
-//!   affected shard in place, and any mutation that re-weights or
-//!   renumbers the corpus (refit, vacuum) rebuilds the sharded mirror
-//!   off to the side.
+//!   funnel through the `ShardWriter` behind a mutex. Its
+//!   [`SignatureDb`] stores the signatures as the shard pieces
+//!   themselves (one [`ShardPiece`] per router slot), so there is no
+//!   mirror to keep in lockstep.
 //! * **Immutable snapshots.** After every mutation the writer publishes
 //!   a new [`ShardSnapshot`] — an [`Arc`]'d, never-mutated view holding
-//!   the tf-idf model and the shard pieces of that generation. Shard
-//!   pieces are [`Arc`]-shared across generations; only the pieces a
-//!   mutation touched are re-allocated (copy-on-write via
-//!   [`Arc::make_mut`]).
+//!   the tf-idf model and `Arc` clones of the database's pieces. The
+//!   first mutation after a publish that touches a piece copies it
+//!   ([`Arc::make_mut`]); untouched pieces stay shared.
 //! * **Non-blocking reads.** A search clones the current snapshot `Arc`
 //!   under a momentary read lock (no allocation, no wait on the writer)
 //!   and then runs entirely against that immutable generation: a
 //!   concurrent refit or vacuum builds the *next* generation elsewhere
 //!   and can never stall or tear an in-flight query.
 //!
-//! Sharded results are **bit-identical** to the flat database's: a
+//! Sharded results are **bit-identical** to a one-shard database's: a
 //! document's cosine score depends only on its own postings and the
-//! query, every member of the flat top-k is in its own shard's top-k,
+//! query, every member of the global top-k is in its own shard's top-k,
 //! and [`merge_topk`] re-ranks with exactly the flat comparator (see
 //! `fmeter_ir::shard`).
 //!
 //! The service can additionally run in **durable mode**
 //! ([`SignatureService::from_db_durable`] /
-//! [`SignatureService::recover_durable`]): the writer appends every
-//! mutation to a [`DurableLog`] *before* applying it and checkpoints on
-//! the log's policy, so a crash at any point loses at most the
-//! unsynced WAL tail (see the [`wal`](crate::wal) module and
+//! [`SignatureService::recover_durable`]): the writer validates every
+//! mutation, then appends it to a [`DurableLog`] *before* applying it,
+//! and checkpoints on the log's policy, so a crash at any point loses at
+//! most the unsynced WAL tail (see the [`wal`](crate::wal) module and
 //! `docs/PERSISTENCE.md`). A failing WAL degrades the log's
 //! [`WalHealth`] rather than poisoning the writer — mutations and
 //! queries keep working in memory while the log backs off and retries.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,39 +45,17 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use fmeter_ir::{
-    merge_topk, DocId, IrError, SearchHit, SearchScratch, Shard, ShardRouter, SparseVec,
+    merge_topk, search_sharded, DocId, IrError, SearchHit, SearchScratch, ShardRouter, SparseVec,
     TermCounts, TfIdfModel,
 };
 use parking_lot::{Mutex, RwLock};
 
+use crate::db::resolve_hits;
 use crate::wal::{DurableLog, DurableOptions, RecoveryReport, WalHealth, WalOp};
 use crate::{
-    persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, Signature, SignatureDb,
-    VacuumPolicy, VacuumStats,
+    persist, FmeterError, RawSignature, Recluster, RefitPolicy, RefitStats, ShardPiece, Signature,
+    SignatureDb, VacuumPolicy, VacuumStats,
 };
-
-/// One shard of a published generation: the shard's search structures
-/// plus its slice of the stored signatures, indexed by shard-local id.
-#[derive(Debug, Clone)]
-pub struct ShardPiece {
-    shard: Shard,
-    /// Signature per local slot; tombstoned locals keep their last
-    /// contents (same contract as [`SignatureDb::signatures`]).
-    signatures: Vec<Signature>,
-}
-
-impl ShardPiece {
-    /// The shard's inverted index, WAND bounds, and packed vectors.
-    pub fn shard(&self) -> &Shard {
-        &self.shard
-    }
-
-    /// The shard's signatures, indexed by *local* id (translate global
-    /// ids with the shard's router).
-    pub fn signatures(&self) -> &[Signature] {
-        &self.signatures
-    }
-}
 
 /// One immutable, published generation of the sharded store.
 ///
@@ -94,8 +68,6 @@ impl ShardPiece {
 pub struct ShardSnapshot {
     generation: u64,
     epoch: u64,
-    num_live: usize,
-    num_slots: usize,
     model: TfIdfModel,
     router: ShardRouter,
     pieces: Vec<Arc<ShardPiece>>,
@@ -115,17 +87,17 @@ impl ShardSnapshot {
 
     /// Number of live signatures in this generation.
     pub fn len(&self) -> usize {
-        self.num_live
+        self.pieces.iter().map(|p| p.shard().live_len()).sum()
     }
 
     /// Returns `true` when the generation holds no live signature.
     pub fn is_empty(&self) -> bool {
-        self.num_live == 0
+        self.len() == 0
     }
 
     /// Number of doc-id slots (live + tombstoned).
     pub fn num_slots(&self) -> usize {
-        self.num_slots
+        self.pieces.iter().map(|p| p.shard().len()).sum()
     }
 
     /// Number of shards in the layout.
@@ -155,18 +127,13 @@ impl ShardSnapshot {
 
     /// Returns `true` when `doc` is live in this generation.
     pub fn is_live(&self, doc: DocId) -> bool {
-        doc < self.num_slots && self.pieces[self.router.shard_of(doc)].shard.is_live(doc)
+        self.pieces[self.router.shard_of(doc)].shard().is_live(doc)
     }
 
     /// The stored signature at `doc`, if the slot exists (tombstoned
     /// slots keep their last contents — check [`is_live`](Self::is_live)).
-    pub fn signature(&self, doc: DocId) -> Option<&Signature> {
-        if doc >= self.num_slots {
-            return None;
-        }
-        self.pieces[self.router.shard_of(doc)]
-            .signatures
-            .get(self.router.local_of(doc))
+    pub fn signature(&self, doc: DocId) -> Option<Signature> {
+        (doc < self.num_slots()).then(|| self.pieces[self.router.shard_of(doc)].signature(doc))
     }
 
     /// Transforms raw interval counts with this generation's model.
@@ -187,76 +154,69 @@ impl ShardSnapshot {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<(DocId, Signature, f64)>, FmeterError> {
-        let query = self.transform(counts);
-        let mut per_shard = Vec::with_capacity(self.pieces.len());
-        for piece in &self.pieces {
-            per_shard.push(piece.shard.search_with(&query, k, scratch)?);
-        }
-        Ok(self.resolve_hits(merge_topk(per_shard, k)))
-    }
-
-    /// Maps merged global hits to owned `(doc, signature, score)` rows.
-    fn resolve_hits(&self, hits: Vec<SearchHit>) -> Vec<(DocId, Signature, f64)> {
-        hits.into_iter()
-            .map(|h| {
-                let sig = self
-                    .signature(h.doc)
-                    .expect("hit doc ids come from this snapshot")
-                    .clone();
-                (h.doc, sig, h.score)
-            })
-            .collect()
+        let shards = self.pieces.iter().map(|p| p.shard());
+        let hits = search_sharded(shards, &self.transform(counts), k, scratch)?;
+        Ok(resolve_hits(self.router, &self.pieces, hits))
     }
 }
 
-/// The single-writer mutation path of the sharded store.
+/// The single-writer mutation path of the sharded store: a
+/// [`SignatureDb`] plus, in durable mode, the [`DurableLog`] its
+/// mutations are validated, then written ahead to — a refused mutation
+/// leaves no trace in the log.
 ///
-/// Owns the authoritative flat [`SignatureDb`] and mirrors every
-/// mutation into the per-shard structures, so a consistent
-/// [`ShardSnapshot`] can be published at any moment with nothing but
-/// `Arc` clones. All the flat database's semantics — refit and vacuum
-/// policies, epochs, doc-id stability, remaps — carry over unchanged.
-///
-/// Shard pieces are copy-on-write: a piece still referenced by a
-/// published snapshot is cloned the first time a mutation touches it
-/// after a publish ([`Arc::make_mut`]), which is exactly the "build the
-/// next generation off to the side" cost. Pieces untouched by a
-/// mutation are shared with prior generations for free.
+/// Readers search the database's own pieces, so a consistent
+/// [`ShardSnapshot`] is published with nothing but `Arc` clones. All
+/// the database's semantics — policies, epochs, doc-id stability,
+/// remaps — carry over unchanged.
 #[derive(Debug)]
 pub struct ShardWriter {
     db: SignatureDb,
-    router: ShardRouter,
-    pieces: Vec<Arc<ShardPiece>>,
-    /// Global slots already mirrored into `pieces`.
-    synced_slots: usize,
     /// Crash-consistency engine, when the writer runs in durable mode:
     /// mutations append here *before* they apply.
     durable: Option<DurableLog>,
 }
 
 impl ShardWriter {
-    /// Wraps `db` in a `num_shards`-way sharded mirror (clamped to at
-    /// least 1 shard).
-    pub fn new(db: SignatureDb, num_shards: usize) -> Self {
-        let router = ShardRouter::new(num_shards);
-        let mut writer = ShardWriter {
-            db,
-            router,
-            pieces: Vec::new(),
-            synced_slots: 0,
-            durable: None,
-        };
-        writer.resync();
-        writer
+    /// Wraps `db`, re-routed into `num_shards` pieces (clamped to at
+    /// least 1).
+    pub fn new(mut db: SignatureDb, num_shards: usize) -> Self {
+        db.reshard(num_shards);
+        ShardWriter { db, durable: None }
     }
 
-    /// Attaches a durability engine: every subsequent mutation is
-    /// WAL-appended before it applies and checkpointed per the log's
-    /// policy. The log's on-disk state must already describe this
-    /// writer's database (freshly [`DurableLog::create`]d from it, or
-    /// the log/database pair returned by [`DurableLog::recover`]).
-    pub fn attach_durable(&mut self, log: DurableLog) {
-        self.durable = Some(log);
+    /// Like [`new`](Self::new), in **durable mode**: a fresh
+    /// crash-consistency directory is initialised at `dir`. Recover a
+    /// crashed instance with [`recover`](Self::recover).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `dir` already holds a durable database, and
+    /// propagates I/O failures writing the initial checkpoint.
+    pub fn create(
+        dir: &Path,
+        db: SignatureDb,
+        num_shards: usize,
+        opts: DurableOptions,
+    ) -> Result<Self, FmeterError> {
+        let mut writer = Self::new(db, num_shards);
+        writer.durable = Some(DurableLog::create(dir, &writer.db, opts)?);
+        Ok(writer)
+    }
+
+    /// Recovers the durably-acked state from `dir` in its saved shard
+    /// layout, continuing in durable mode (see [`DurableLog::recover`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `dir` holds no loadable checkpoint generation.
+    pub fn recover(
+        dir: &Path,
+        opts: DurableOptions,
+    ) -> Result<(Self, RecoveryReport), FmeterError> {
+        let (db, log, report) = DurableLog::recover(dir, opts)?;
+        let durable = Some(log);
+        Ok((ShardWriter { db, durable }, report))
     }
 
     /// The durability engine, when running in durable mode.
@@ -265,7 +225,7 @@ impl ShardWriter {
     }
 
     /// Mutable access to the durability engine (sync and
-    /// fault-injection hooks; the log cannot corrupt the mirror).
+    /// fault-injection hooks; the log cannot corrupt the database).
     pub fn durable_log_mut(&mut self) -> Option<&mut DurableLog> {
         self.durable.as_mut()
     }
@@ -284,75 +244,62 @@ impl ShardWriter {
     /// the log folds the failure into its retry backoff).
     pub fn checkpoint(&mut self) -> Result<(), FmeterError> {
         match &mut self.durable {
-            Some(log) => log.checkpoint(&self.db, self.router.num_shards()),
+            Some(log) => log.checkpoint(&self.db),
             None => Err(FmeterError::Persist(
                 "writer has no durable log attached".into(),
             )),
         }
     }
 
-    /// Appends `op` to the WAL when durable (before the mutation it
-    /// describes is applied — write-ahead).
-    fn wal_append(&mut self, op: impl FnOnce() -> WalOp) {
+    /// Applies one *validated* mutation: WAL-append `op` when durable,
+    /// apply `f`, then run the checkpoint policy.
+    fn logged<R>(
+        &mut self,
+        op: impl FnOnce() -> WalOp,
+        f: impl FnOnce(&mut SignatureDb) -> R,
+    ) -> R {
         if let Some(log) = &mut self.durable {
             log.append(&op());
         }
-    }
-
-    /// Runs the checkpoint policy after a mutation, when durable.
-    fn checkpoint_if_due(&mut self) {
+        let out = f(&mut self.db);
         if let Some(log) = &mut self.durable {
-            log.maybe_checkpoint(&self.db, self.router.num_shards());
+            log.maybe_checkpoint(&self.db);
         }
+        out
     }
 
     /// Persists a policy change by checkpointing immediately (policy
-    /// changes are not WAL ops — see [`crate::DurableDb`]). A failure
-    /// is propagated — until a checkpoint lands, recovery would replay
-    /// the WAL under the *old* policy and diverge from the acked
-    /// in-memory state — and also folds into the log's retry backoff,
-    /// so the writer itself stays usable.
+    /// changes are not WAL ops). A failure is propagated — until a
+    /// checkpoint lands, recovery would replay the WAL under the *old*
+    /// policy — and also folds into the log's retry backoff, so the
+    /// writer itself stays usable.
     fn persist_policy_change(&mut self) -> Result<(), FmeterError> {
         match &mut self.durable {
-            Some(log) => log.checkpoint_with_backoff(&self.db, self.router.num_shards()),
+            Some(log) => log.checkpoint_with_backoff(&self.db),
             None => Ok(()),
         }
     }
 
-    /// The authoritative flat database.
+    /// The database the writer mutates.
     pub fn db(&self) -> &SignatureDb {
         &self.db
     }
 
-    /// Unwraps the writer back into its flat database, dropping the
-    /// durable log (if any) — acked state stays on disk.
+    /// Unwraps the writer back into its database, dropping the durable
+    /// log (if any) — acked state stays on disk.
     pub fn into_db(self) -> SignatureDb {
         self.db
     }
 
-    /// The doc→shard router of this layout.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// Number of shards in the layout.
-    pub fn num_shards(&self) -> usize {
-        self.router.num_shards()
-    }
-
-    /// Publishes the current state as an immutable snapshot stamped
-    /// with `generation`. Costs one `Arc` clone per shard plus a model
-    /// clone — the heavy piece rebuilds already happened on the
-    /// mutation that made them necessary.
+    /// Publishes the current state as an immutable snapshot stamped with
+    /// `generation`: one `Arc` clone per piece plus a model clone.
     pub fn publish(&self, generation: u64) -> ShardSnapshot {
         ShardSnapshot {
             generation,
             epoch: self.db.epoch(),
-            num_live: self.db.len(),
-            num_slots: self.db.num_slots(),
             model: self.db.model().clone(),
-            router: self.router,
-            pieces: self.pieces.clone(),
+            router: self.db.router,
+            pieces: self.db.pieces.clone(),
         }
     }
 
@@ -360,25 +307,27 @@ impl ShardWriter {
     ///
     /// # Errors
     ///
-    /// Propagates dimension mismatches.
+    /// Propagates dimension mismatches; a refused insert is not logged.
     pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.wal_append(|| WalOp::Insert(raw.clone()));
-        let out = self.mutate(|db| db.insert(raw));
-        self.checkpoint_if_due();
-        out
+        self.db.check_insert(raw)?;
+        self.logged(|| WalOp::Insert(raw.clone()), |db| db.insert(raw))
     }
 
     /// Appends a batch of signatures (see [`SignatureDb::insert_batch`]).
     ///
     /// # Errors
     ///
-    /// Returns a dimension mismatch on the first offending signature;
-    /// earlier elements of the batch remain inserted.
+    /// Returns a dimension mismatch when any element has the wrong
+    /// dimension; the batch is then refused whole — nothing is
+    /// inserted and nothing is logged.
     pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.wal_append(|| WalOp::InsertBatch(raw.to_vec()));
-        let out = self.mutate(|db| db.insert_batch(raw));
-        self.checkpoint_if_due();
-        out
+        for r in raw {
+            self.db.check_insert(r)?;
+        }
+        self.logged(
+            || WalOp::InsertBatch(raw.to_vec()),
+            |db| db.insert_batch(raw),
+        )
     }
 
     /// Tombstones a stored signature (see [`SignatureDb::remove`]).
@@ -386,40 +335,31 @@ impl ShardWriter {
     /// # Errors
     ///
     /// Returns [`IrError::DocNotLive`] (wrapped) when `doc` was never
-    /// assigned or is already removed.
+    /// assigned or is already removed; the refused remove is not logged.
     pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.wal_append(|| WalOp::Remove(doc));
-        let out = self.mutate(|db| db.remove(doc));
-        self.checkpoint_if_due();
-        out
+        self.db.check_remove(doc)?;
+        self.logged(|| WalOp::Remove(doc), |db| db.remove(doc))
     }
 
     /// Republishes idf and re-weights affected signatures (see
-    /// [`SignatureDb::refit`]); rebuilds the sharded mirror.
+    /// [`SignatureDb::refit`]).
     pub fn refit(&mut self) -> RefitStats {
-        self.wal_append(|| WalOp::Refit);
-        let out = self.mutate(SignatureDb::refit);
-        self.checkpoint_if_due();
-        out
+        self.logged(|| WalOp::Refit, SignatureDb::refit)
     }
 
     /// Compacts tombstoned slots, renumbering doc ids (see
-    /// [`SignatureDb::vacuum`]); rebuilds the sharded mirror.
+    /// [`SignatureDb::vacuum`]).
     pub fn vacuum(&mut self) -> VacuumStats {
-        self.wal_append(|| WalOp::Vacuum);
-        let out = self.mutate(SignatureDb::vacuum);
-        self.checkpoint_if_due();
-        out
+        self.logged(|| WalOp::Vacuum, SignatureDb::vacuum)
     }
 
     /// Warm-started syndrome maintenance (see
     /// [`SignatureDb::recluster`]).
     ///
-    /// Deliberately *not* a WAL op and not a mirror-desyncing mutation:
-    /// reclustering only touches the database's derived warm-start
-    /// cache — no weights, doc ids, or postings change — so recovery
-    /// simply starts the cache cold and the sharded mirror stays valid
-    /// untouched.
+    /// Deliberately *not* a WAL op: reclustering only touches the
+    /// database's derived warm-start cache — no weights, doc ids, or
+    /// postings change — so recovery simply starts the cache cold and
+    /// the published pieces stay valid untouched.
     ///
     /// # Errors
     ///
@@ -453,89 +393,6 @@ impl ShardWriter {
     pub fn set_vacuum_policy(&mut self, policy: VacuumPolicy) -> Result<(), FmeterError> {
         self.db.set_vacuum_policy(policy);
         self.persist_policy_change()
-    }
-
-    /// Runs one mutation against the flat database, then brings the
-    /// sharded mirror back in lockstep: a weight- or id-space-changing
-    /// mutation (refit or vacuum fired, observable through the epoch
-    /// and vacuum counters) rebuilds the mirror; anything else is
-    /// patched incrementally — appended slots are routed to their
-    /// shards, new tombstones forwarded.
-    fn mutate<R>(&mut self, f: impl FnOnce(&mut SignatureDb) -> R) -> R {
-        let epoch = self.db.epoch();
-        let vacuums = self.db.vacuums();
-        let out = f(&mut self.db);
-        if self.db.epoch() != epoch || self.db.vacuums() != vacuums {
-            self.resync();
-        } else {
-            self.sync_incremental();
-        }
-        out
-    }
-
-    /// Incremental lockstep: route new slots to their shards and
-    /// forward tombstones for slots that died since the last sync.
-    fn sync_incremental(&mut self) {
-        let slots = self.db.num_slots();
-        for d in self.synced_slots..slots {
-            let sig = self.db.signatures()[d].clone();
-            let live = self.db.is_live(d);
-            let piece = Arc::make_mut(&mut self.pieces[self.router.shard_of(d)]);
-            piece
-                .shard
-                .insert(d, sig.vector.clone())
-                .expect("sequential global ids route in order");
-            piece.signatures.push(sig);
-            if !live {
-                piece.shard.remove(d).expect("slot was just inserted");
-            }
-        }
-        self.synced_slots = slots;
-        // Forward tombstones: compare liveness piece-by-piece. The scan
-        // is O(slots) of boolean reads — negligible next to the search
-        // structures it keeps consistent.
-        for d in 0..slots {
-            if !self.db.is_live(d) && self.pieces[self.router.shard_of(d)].shard.is_live(d) {
-                let piece = Arc::make_mut(&mut self.pieces[self.router.shard_of(d)]);
-                piece.shard.remove(d).expect("shard mirrors the database");
-            }
-        }
-    }
-
-    /// Full rebuild of the sharded mirror from the flat database — the
-    /// off-to-the-side construction of the next generation after a
-    /// refit (weights changed) or vacuum (ids renumbered). Tombstoned
-    /// slots are mirrored as zero-vector inserts followed by a remove,
-    /// keeping every shard's local id space aligned with the router.
-    fn resync(&mut self) {
-        let dim = self.db.dim();
-        let slots = self.db.num_slots();
-        let mut pieces: Vec<ShardPiece> = (0..self.router.num_shards())
-            .map(|s| ShardPiece {
-                shard: Shard::new(s, self.router, dim),
-                signatures: Vec::new(),
-            })
-            .collect();
-        for d in 0..slots {
-            let sig = self.db.signatures()[d].clone();
-            let live = self.db.is_live(d);
-            let piece = &mut pieces[self.router.shard_of(d)];
-            if live {
-                piece
-                    .shard
-                    .insert(d, sig.vector.clone())
-                    .expect("sequential global ids route in order");
-            } else {
-                piece
-                    .shard
-                    .insert(d, SparseVec::zeros(dim))
-                    .expect("zero placeholder matches the dimension");
-                piece.shard.remove(d).expect("slot was just inserted");
-            }
-            piece.signatures.push(sig);
-        }
-        self.pieces = pieces.into_iter().map(Arc::new).collect();
-        self.synced_slots = slots;
     }
 }
 
@@ -641,10 +498,9 @@ impl SignatureService {
         dir: &Path,
         opts: DurableOptions,
     ) -> Result<Self, FmeterError> {
-        let mut writer = ShardWriter::new(db, num_shards);
-        let log = DurableLog::create(dir, writer.db(), writer.num_shards(), opts)?;
-        writer.attach_durable(log);
-        Ok(Self::from_writer(writer))
+        Ok(Self::from_writer(ShardWriter::create(
+            dir, db, num_shards, opts,
+        )?))
     }
 
     /// Recovers the durably-acked state from `dir` (newest loadable
@@ -660,9 +516,7 @@ impl SignatureService {
         dir: &Path,
         opts: DurableOptions,
     ) -> Result<(Self, RecoveryReport), FmeterError> {
-        let (db, num_shards, log, report) = DurableLog::recover(dir, opts)?;
-        let mut writer = ShardWriter::new(db, num_shards);
-        writer.attach_durable(log);
+        let (writer, report) = ShardWriter::recover(dir, opts)?;
         Ok((Self::from_writer(writer), report))
     }
 
@@ -671,6 +525,7 @@ impl SignatureService {
     fn from_writer(writer: ShardWriter) -> Self {
         let snapshot = Arc::new(writer.publish(0));
         let pool = writer
+            .db()
             .num_shards()
             .clamp(1, 16)
             .min(
@@ -732,12 +587,7 @@ impl SignatureService {
     /// Propagates serialization and I/O failures.
     pub fn save<W: Write>(&self, writer: W) -> Result<(), FmeterError> {
         let guard = self.inner.writer.lock();
-        persist::save_sharded(
-            guard.db(),
-            guard.num_shards(),
-            persist::CURRENT_FORMAT_VERSION,
-            writer,
-        )
+        persist::save(guard.db(), persist::CURRENT_FORMAT_VERSION, writer)
     }
 
     /// The currently published generation. The returned `Arc` stays
@@ -811,7 +661,11 @@ impl SignatureService {
                 }
             }
         }
-        Ok(snapshot.resolve_hits(merge_topk(per_shard, k)))
+        Ok(resolve_hits(
+            snapshot.router,
+            &snapshot.pieces,
+            merge_topk(per_shard, k),
+        ))
     }
 
     /// Classifies a fresh interval by majority label among its `k`
@@ -823,16 +677,9 @@ impl SignatureService {
     /// Propagates dimension mismatches.
     pub fn classify(&self, counts: &TermCounts, k: usize) -> Result<Option<String>, FmeterError> {
         let hits = self.search(counts, k)?;
-        let mut votes: HashMap<&str, usize> = HashMap::new();
-        for (_, sig, _) in &hits {
-            if let Some(label) = sig.label.as_deref() {
-                *votes.entry(label).or_default() += 1;
-            }
-        }
-        Ok(votes
-            .into_iter()
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
-            .map(|(label, _)| label.to_string()))
+        Ok(crate::db::vote(
+            hits.iter().map(|(_, sig, _)| sig.label.as_deref()),
+        ))
     }
 
     /// Appends one signature and publishes the next generation.
@@ -852,13 +699,13 @@ impl SignatureService {
     ///
     /// # Errors
     ///
-    /// Returns a dimension mismatch on the first offending signature;
-    /// earlier elements of the batch remain inserted and are published.
+    /// Returns a dimension mismatch when any element has the wrong
+    /// dimension; the batch is refused whole and nothing is published.
     pub fn insert_batch(&self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
         let mut writer = self.inner.writer.lock();
-        let result = writer.insert_batch(raw);
+        let ids = writer.insert_batch(raw)?;
         self.publish(&writer);
-        result
+        Ok(ids)
     }
 
     /// Tombstones a stored signature and publishes the next generation.
@@ -897,7 +744,7 @@ impl SignatureService {
         stats
     }
 
-    /// Warm-started syndrome maintenance over the authoritative
+    /// Warm-started syndrome maintenance over the writer's
     /// database (see [`SignatureDb::recluster`]): the first call runs a
     /// cold multi-restart K-means, steady-state calls resume from the
     /// cached assignment in O(changed docs). No generation is published
@@ -1075,14 +922,13 @@ mod tests {
 
     fn assert_same_hits(
         service_hits: &[(DocId, Signature, f64)],
-        db_hits: &[(&Signature, f64)],
-        db: &SignatureDb,
+        db_hits: &[(DocId, Signature, f64)],
     ) {
         assert_eq!(service_hits.len(), db_hits.len());
-        for ((doc, sig, score), (db_sig, db_score)) in service_hits.iter().zip(db_hits) {
+        for ((doc, sig, score), (db_doc, db_sig, db_score)) in service_hits.iter().zip(db_hits) {
             assert_eq!(score, db_score, "scores must be bit-identical");
-            assert_eq!(sig, *db_sig);
-            assert!(std::ptr::eq(&db.signatures()[*doc], *db_sig));
+            assert_eq!(sig, db_sig);
+            assert_eq!(doc, db_doc);
         }
     }
 
@@ -1097,7 +943,7 @@ mod tests {
                 let q = probe.to_term_counts();
                 let expected = db.search(&q, 6).unwrap();
                 let got = service.search(&q, 6).unwrap();
-                assert_same_hits(&got, &expected, &db);
+                assert_same_hits(&got, &expected);
                 assert_eq!(
                     service.classify(&q, 5).unwrap(),
                     db.classify(&q, 5).unwrap()
@@ -1127,7 +973,7 @@ mod tests {
             let q = probe.to_term_counts();
             let expected = db.search(&q, 8).unwrap();
             let got = service.search(&q, 8).unwrap();
-            assert_same_hits(&got, &expected, &db);
+            assert_same_hits(&got, &expected);
         }
 
         // Explicit refit + vacuum keep the mirrors aligned too.
@@ -1142,7 +988,7 @@ mod tests {
             let q = probe.to_term_counts();
             let expected = db.search(&q, 8).unwrap();
             let got = service.search(&q, 8).unwrap();
-            assert_same_hits(&got, &expected, &db);
+            assert_same_hits(&got, &expected);
         }
     }
 
@@ -1252,7 +1098,7 @@ mod tests {
             let q = probe.to_term_counts();
             let expected = db.search(&q, 6).unwrap();
             let got = service.search(&q, 6).unwrap();
-            assert_same_hits(&got, &expected, &db);
+            assert_same_hits(&got, &expected);
         }
     }
 
@@ -1266,11 +1112,37 @@ mod tests {
         let snapshot = writer.publish(1);
         assert_eq!(snapshot.len(), 19);
         assert!(!snapshot.is_live(5));
-        assert_eq!(
-            snapshot.signature(7).unwrap(),
-            &reference.signatures()[7].clone()
-        );
+        assert_eq!(snapshot.signature(7).unwrap(), reference.signature(7));
         let db = writer.into_db();
         assert_eq!(db.len(), 19);
+    }
+
+    #[test]
+    fn resharding_keeps_the_quantization_mode() {
+        let mut db = SignatureDb::build(&sample(40, 12)).unwrap();
+        db.set_quantization(fmeter_ir::QuantizationMode::Int8);
+        for num_shards in [1, 4] {
+            let service = SignatureService::from_db(db.clone(), num_shards);
+            let modes = |svc: &SignatureService| -> Vec<fmeter_ir::QuantizationMode> {
+                svc.snapshot()
+                    .pieces()
+                    .iter()
+                    .map(|p| p.shard().index().quantization())
+                    .collect()
+            };
+            assert_eq!(
+                modes(&service),
+                vec![fmeter_ir::QuantizationMode::Int8; num_shards],
+                "S={num_shards}: every served piece keeps the mode"
+            );
+            let mut bytes = Vec::new();
+            service.save(&mut bytes).unwrap();
+            let back = SignatureService::load(&bytes[..]).unwrap();
+            assert_eq!(
+                modes(&back),
+                vec![fmeter_ir::QuantizationMode::Int8; num_shards],
+                "S={num_shards}: a save/load round trip keeps the mode"
+            );
+        }
     }
 }

@@ -6,17 +6,19 @@
 //! daemon an operator can trust. This module makes the streaming store
 //! durable with the classic WAL discipline:
 //!
-//! * every mutation is appended to an **op log** *before* it is applied
-//!   (see [`WalOp`]); records are length-prefixed, carry a monotone
-//!   sequence number, and are bound to a CRC32 checksum, so replay can
-//!   stop *cleanly* at the first torn or corrupted record;
+//! * every mutation is validated, then appended to an **op log**
+//!   *before* it is applied (see [`WalOp`]), so a refused mutation
+//!   leaves no trace in the log; records are length-prefixed, carry a
+//!   monotone sequence number, and are bound to a CRC32 checksum, so
+//!   replay can stop *cleanly* at the first torn or corrupted record;
 //! * a **checkpoint** is a full current-version envelope written to a
 //!   temp file,
 //!   fsynced, and atomically renamed into place; a small `MANIFEST`
 //!   binds the newest good checkpoint to the WAL that continues it, and
 //!   the previous generation is retained so a damaged newest checkpoint
 //!   falls back instead of failing;
-//! * [`DurableLog::recover`] (and [`DurableDb::recover`]) rebuild the
+//! * [`DurableLog::recover`] (and
+//!   [`ShardWriter::recover`](crate::ShardWriter::recover)) rebuild the
 //!   exact durably-acked state: last good checkpoint + WAL tail replay,
 //!   never applying a record past the first bad one, and always
 //!   starting a *fresh* generation afterwards (a possibly-torn WAL is
@@ -186,10 +188,16 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// Applies the op to `db`, mirroring what the durable wrapper did at
-    /// log time. Replay ignores per-op errors: append-before-mutate may
-    /// log an op whose application failed (e.g. a dimension mismatch),
-    /// and it fails identically on replay.
+    /// Applies the op to `db`, mirroring what the writer did at log
+    /// time. The writer validates before it logs, so an op it wrote
+    /// always applies; logs from releases that logged first may still
+    /// hold a refused op, which fails identically on replay and is
+    /// counted in [`RecoveryReport::refused_ops`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the mutation's own error (a dimension mismatch, or a
+    /// removal of a dead doc); `db` is then unchanged.
     pub fn apply(&self, db: &mut SignatureDb) -> Result<(), FmeterError> {
         match self {
             WalOp::Insert(raw) => db.insert(raw).map(|_| ()),
@@ -272,7 +280,7 @@ pub enum CheckpointPolicy {
     },
 }
 
-/// Configuration for a [`DurableLog`] / [`DurableDb`].
+/// Configuration for a [`DurableLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableOptions {
     /// WAL fsync cadence.
@@ -691,7 +699,7 @@ fn backoff_ops(failed_attempts: u32) -> u64 {
 }
 
 /// What a recovery found and did — returned by
-/// [`DurableLog::recover`] / [`DurableDb::recover`].
+/// [`DurableLog::recover`] / [`crate::ShardWriter::recover`].
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// The checkpoint generation the state was loaded from.
@@ -701,6 +709,11 @@ pub struct RecoveryReport {
     pub checkpoints_skipped: usize,
     /// WAL records replayed on top of the checkpoint.
     pub replayed_ops: usize,
+    /// Replayed records whose op was refused (and so changed nothing).
+    /// Always 0 for logs this release wrote: it validates before it
+    /// logs. Logs from earlier releases, which logged first, may hold
+    /// such ops.
+    pub refused_ops: usize,
     /// Sequence number of the last replayed record.
     pub last_seq: Option<u64>,
     /// True when replay stopped at a torn or corrupt record rather
@@ -715,9 +728,8 @@ pub struct RecoveryReport {
 
 /// The durability engine: owns a directory of checkpoints + WALs and
 /// the append/checkpoint/recover protocol over it. It deliberately does
-/// *not* own the [`SignatureDb`] — both the flat [`DurableDb`] wrapper
-/// and the sharded [`SignatureService`](crate::SignatureService) drive
-/// the same log.
+/// *not* own the [`SignatureDb`]: the
+/// [`ShardWriter`](crate::ShardWriter) holding the database drives it.
 pub struct DurableLog {
     dir: PathBuf,
     opts: DurableOptions,
@@ -740,12 +752,7 @@ impl DurableLog {
     /// Initialises a fresh durable directory for `db`: generation-1
     /// checkpoint, empty WAL, manifest. Fails if `dir` already holds a
     /// durable state (use [`DurableLog::recover`] for that).
-    pub fn create(
-        dir: &Path,
-        db: &SignatureDb,
-        num_shards: usize,
-        opts: DurableOptions,
-    ) -> Result<Self, FmeterError> {
+    pub fn create(dir: &Path, db: &SignatureDb, opts: DurableOptions) -> Result<Self, FmeterError> {
         fs::create_dir_all(dir)?;
         if dir.join(MANIFEST_FILE).exists() || !scan_checkpoints(dir)?.is_empty() {
             return Err(FmeterError::Persist(format!(
@@ -754,7 +761,7 @@ impl DurableLog {
             )));
         }
         let mut log = DurableLog::bare(dir.to_path_buf(), opts, 0, 1);
-        log.checkpoint(db, num_shards)?;
+        log.checkpoint(db)?;
         Ok(log)
     }
 
@@ -779,7 +786,8 @@ impl DurableLog {
     /// Reconstructs the durably-acked state from `dir` *without writing
     /// anything*: newest loadable checkpoint + WAL chain replay,
     /// stopping at the first torn record. The inspect/debug entry
-    /// point, and the cheap half of [`DurableLog::recover`].
+    /// point, and the cheap half of [`DurableLog::recover`]. The
+    /// database comes back as one piece, beside the saved shard count.
     pub fn recover_state(dir: &Path) -> Result<(SignatureDb, usize, RecoveryReport), FmeterError> {
         let gens = scan_checkpoints(dir)?;
         if gens.is_empty() {
@@ -818,6 +826,7 @@ impl DurableLog {
             generation,
             checkpoints_skipped: 0,
             replayed_ops: 0,
+            refused_ops: 0,
             last_seq: None,
             torn_tail: false,
             manifest_generation: None,
@@ -841,7 +850,9 @@ impl DurableLog {
                 break;
             }
             for (seq, op) in &seg.records {
-                let _ = op.apply(&mut db);
+                if op.apply(&mut db).is_err() {
+                    report.refused_ops += 1;
+                }
                 report.replayed_ops += 1;
                 report.last_seq = Some(*seq);
             }
@@ -854,23 +865,26 @@ impl DurableLog {
         Ok((db, num_shards, report))
     }
 
-    /// Full crash recovery: rebuilds the durably-acked state, then
-    /// immediately starts a *fresh* generation (new checkpoint + empty
-    /// WAL) — a WAL with a possibly-torn tail is never appended to, so
-    /// recovery is also self-healing.
+    /// Full crash recovery: rebuilds the durably-acked state, re-routed
+    /// into its saved shard count, then immediately starts a *fresh*
+    /// generation (new checkpoint + empty WAL) — a WAL with a
+    /// possibly-torn tail is never appended to, so recovery is also
+    /// self-healing.
     pub fn recover(
         dir: &Path,
         opts: DurableOptions,
-    ) -> Result<(SignatureDb, usize, Self, RecoveryReport), FmeterError> {
-        let (db, num_shards, report) = Self::recover_state(dir)?;
+    ) -> Result<(SignatureDb, Self, RecoveryReport), FmeterError> {
+        let (mut db, num_shards, report) = Self::recover_state(dir)?;
+        db.reshard(num_shards);
         let resume_seq = report.last_seq.map(|s| s + 1).unwrap_or(1);
         let generation = max_generation(dir)?;
         let mut log = DurableLog::bare(dir.to_path_buf(), opts, generation, resume_seq);
-        log.checkpoint(&db, num_shards)?;
-        Ok((db, num_shards, log, report))
+        log.checkpoint(&db)?;
+        Ok((db, log, report))
     }
 
-    /// Appends one op to the WAL — call *before* applying the mutation.
+    /// Appends one op to the WAL — call *after* validating the mutation
+    /// and *before* applying it.
     /// Never fails: a write error flips the log into
     /// [`WalHealth::Degraded`] (the op still applies in memory) and
     /// durability is re-established by the next successful checkpoint.
@@ -903,7 +917,7 @@ impl DurableLog {
     /// Runs the checkpoint policy (and, when degraded, the backoff'd
     /// re-establishment attempts). Call once per mutation, after
     /// applying it. Returns true when a checkpoint was taken.
-    pub fn maybe_checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> bool {
+    pub fn maybe_checkpoint(&mut self, db: &SignatureDb) -> bool {
         if self.degraded.is_some() {
             {
                 let d = self.degraded.as_mut().expect("checked above");
@@ -912,7 +926,7 @@ impl DurableLog {
                     return false;
                 }
             }
-            self.try_checkpoint(db, num_shards)
+            self.checkpoint_with_backoff(db).is_ok()
         } else {
             if self.checkpoint_retry_in > 0 {
                 self.checkpoint_retry_in -= 1;
@@ -933,15 +947,8 @@ impl DurableLog {
             if !due {
                 return false;
             }
-            self.try_checkpoint(db, num_shards)
+            self.checkpoint_with_backoff(db).is_ok()
         }
-    }
-
-    /// Attempts a checkpoint now, folding a failure into the same
-    /// backoff accounting the policy-driven path uses. Returns whether
-    /// the checkpoint was taken.
-    pub fn try_checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> bool {
-        self.checkpoint_with_backoff(db, num_shards).is_ok()
     }
 
     /// Attempts a checkpoint now, folding a failure into the retry
@@ -949,12 +956,8 @@ impl DurableLog {
     /// for callers that must surface the failure, like policy setters,
     /// where an unpersisted change would make recovery silently replay
     /// the WAL under the old policy.
-    pub fn checkpoint_with_backoff(
-        &mut self,
-        db: &SignatureDb,
-        num_shards: usize,
-    ) -> Result<(), FmeterError> {
-        match self.checkpoint(db, num_shards) {
+    pub fn checkpoint_with_backoff(&mut self, db: &SignatureDb) -> Result<(), FmeterError> {
+        match self.checkpoint(db) {
             Ok(()) => Ok(()), // checkpoint() cleared any degraded state
             Err(e) => {
                 if let Some(d) = &mut self.degraded {
@@ -976,10 +979,10 @@ impl DurableLog {
     /// generation (atomic rename), starts a new WAL, updates the
     /// manifest, prunes generations beyond [`KEEP_GENERATIONS`], and —
     /// if the log was degraded — restores [`WalHealth::Healthy`].
-    pub fn checkpoint(&mut self, db: &SignatureDb, num_shards: usize) -> Result<(), FmeterError> {
+    pub fn checkpoint(&mut self, db: &SignatureDb) -> Result<(), FmeterError> {
         let new_gen = self.generation + 1;
         let mut bytes = Vec::new();
-        persist::save_sharded(db, num_shards, persist::CURRENT_FORMAT_VERSION, &mut bytes)?;
+        persist::save(db, persist::CURRENT_FORMAT_VERSION, &mut bytes)?;
         write_atomic(
             &self.dir,
             &checkpoint_name(new_gen),
@@ -1150,145 +1153,11 @@ impl fmt::Debug for DurableLog {
     }
 }
 
-// ---- durable db ------------------------------------------------------
-
-/// A [`SignatureDb`] with crash consistency: every mutation is WAL'd
-/// before it applies, checkpoints fold the log into atomic envelope
-/// snapshots, and [`DurableDb::recover`] restores the exact
-/// durably-acked state after a crash.
-///
-/// Reads go through [`DurableDb::db`]; mutations must go through this
-/// wrapper (the inner database is deliberately not exposed mutably).
-/// For the sharded, concurrently-searchable equivalent see
-/// [`SignatureService`](crate::SignatureService) in durable mode.
-pub struct DurableDb {
-    db: SignatureDb,
-    log: DurableLog,
-}
-
-impl fmt::Debug for DurableDb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableDb")
-            .field("len", &self.db.len())
-            .field("log", &self.log)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DurableDb {
-    /// Starts a fresh durable directory holding `db`.
-    pub fn create(dir: &Path, db: SignatureDb, opts: DurableOptions) -> Result<Self, FmeterError> {
-        let log = DurableLog::create(dir, &db, 1, opts)?;
-        Ok(DurableDb { db, log })
-    }
-
-    /// Recovers the durably-acked state from `dir` with default
-    /// options.
-    pub fn recover(dir: &Path) -> Result<(Self, RecoveryReport), FmeterError> {
-        Self::recover_with(dir, DurableOptions::default())
-    }
-
-    /// Recovers the durably-acked state from `dir`.
-    pub fn recover_with(
-        dir: &Path,
-        opts: DurableOptions,
-    ) -> Result<(Self, RecoveryReport), FmeterError> {
-        let (db, _num_shards, log, report) = DurableLog::recover(dir, opts)?;
-        Ok((DurableDb { db, log }, report))
-    }
-
-    /// WAL-then-apply [`SignatureDb::insert`].
-    pub fn insert(&mut self, raw: &RawSignature) -> Result<DocId, FmeterError> {
-        self.log.append(&WalOp::Insert(raw.clone()));
-        let out = self.db.insert(raw);
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::insert_batch`].
-    pub fn insert_batch(&mut self, raw: &[RawSignature]) -> Result<Vec<DocId>, FmeterError> {
-        self.log.append(&WalOp::InsertBatch(raw.to_vec()));
-        let out = self.db.insert_batch(raw);
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::remove`].
-    pub fn remove(&mut self, doc: DocId) -> Result<(), FmeterError> {
-        self.log.append(&WalOp::Remove(doc));
-        let out = self.db.remove(doc);
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::refit`].
-    pub fn refit(&mut self) -> crate::RefitStats {
-        self.log.append(&WalOp::Refit);
-        let out = self.db.refit();
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// WAL-then-apply [`SignatureDb::vacuum`].
-    pub fn vacuum(&mut self) -> crate::VacuumStats {
-        self.log.append(&WalOp::Vacuum);
-        let out = self.db.vacuum();
-        self.log.maybe_checkpoint(&self.db, 1);
-        out
-    }
-
-    /// Changes the refit policy. Policy changes are not WAL ops (replay
-    /// must re-trigger policy-driven refits deterministically), so the
-    /// change is persisted by taking a checkpoint immediately.
-    pub fn set_refit_policy(&mut self, policy: crate::RefitPolicy) -> Result<(), FmeterError> {
-        self.db.set_refit_policy(policy);
-        self.log.checkpoint(&self.db, 1)
-    }
-
-    /// Changes the vacuum policy; checkpoints immediately (see
-    /// [`DurableDb::set_refit_policy`]).
-    pub fn set_vacuum_policy(&mut self, policy: crate::VacuumPolicy) -> Result<(), FmeterError> {
-        self.db.set_vacuum_policy(policy);
-        self.log.checkpoint(&self.db, 1)
-    }
-
-    /// Takes a checkpoint now.
-    pub fn checkpoint(&mut self) -> Result<(), FmeterError> {
-        self.log.checkpoint(&self.db, 1)
-    }
-
-    /// The in-memory database — searches, classification, and all other
-    /// reads go through here.
-    pub fn db(&self) -> &SignatureDb {
-        &self.db
-    }
-
-    /// Health of the durability layer.
-    pub fn health(&self) -> WalHealth {
-        self.log.health()
-    }
-
-    /// The underlying log, for introspection and fault injection.
-    pub fn log(&self) -> &DurableLog {
-        &self.log
-    }
-
-    /// Mutable access to the log (fault-injection and sync hooks; the
-    /// log cannot corrupt the database from here).
-    pub fn log_mut(&mut self) -> &mut DurableLog {
-        &mut self.log
-    }
-
-    /// Drops durability, returning the in-memory database.
-    pub fn into_db(self) -> SignatureDb {
-        self.db
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::ShortWriter;
+    use crate::ShardWriter;
     use fmeter_kernel_sim::Nanos;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1502,7 +1371,8 @@ mod tests {
     fn create_checkpoint_recover_round_trip() {
         let dir = test_dir("roundtrip");
         let db = base_db();
-        let mut durable = DurableDb::create(&dir, db.clone(), DurableOptions::default()).unwrap();
+        let mut durable =
+            ShardWriter::create(&dir, db.clone(), 1, DurableOptions::default()).unwrap();
         for i in 8..14 {
             durable.insert(&raw(i)).unwrap();
         }
@@ -1510,7 +1380,7 @@ mod tests {
         durable.refit();
         let expected = durable.db().clone();
         drop(durable); // "crash": no shutdown checkpoint
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = ShardWriter::recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.replayed_ops, 8);
         assert!(!report.torn_tail);
         assert_eq!(report.checkpoints_skipped, 0);
@@ -1519,8 +1389,8 @@ mod tests {
         for d in 0..expected.num_slots() {
             assert_eq!(recovered.db().is_live(d), expected.is_live(d));
             assert_eq!(
-                recovered.db().signatures()[d].vector,
-                expected.signatures()[d].vector
+                recovered.db().signature(d).vector,
+                expected.signature(d).vector
             );
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1530,14 +1400,14 @@ mod tests {
     fn recover_on_empty_or_partial_directory_fails_loudly() {
         let dir = test_dir("empty");
         // Nonexistent directory.
-        assert!(DurableDb::recover(&dir).is_err());
+        assert!(ShardWriter::recover(&dir, DurableOptions::default()).is_err());
         // Empty directory.
         fs::create_dir_all(&dir).unwrap();
-        assert!(DurableDb::recover(&dir).is_err());
+        assert!(ShardWriter::recover(&dir, DurableOptions::default()).is_err());
         // Partially-created: stray tmp and WAL but no checkpoint.
         fs::write(dir.join("checkpoint-0000000001.fmdb.tmp"), b"half").unwrap();
         fs::write(dir.join(wal_name(1)), b"FMWAL 1 1 1\n").unwrap();
-        let err = DurableDb::recover(&dir).unwrap_err();
+        let err = ShardWriter::recover(&dir, DurableOptions::default()).unwrap_err();
         assert!(
             err.to_string().contains("no checkpoint"),
             "unexpected error: {err}"
@@ -1549,8 +1419,8 @@ mod tests {
     fn create_refuses_a_populated_directory() {
         let dir = test_dir("populated");
         let db = base_db();
-        drop(DurableDb::create(&dir, db.clone(), DurableOptions::default()).unwrap());
-        assert!(DurableDb::create(&dir, db, DurableOptions::default()).is_err());
+        drop(ShardWriter::create(&dir, db.clone(), 1, DurableOptions::default()).unwrap());
+        assert!(ShardWriter::create(&dir, db, 1, DurableOptions::default()).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1562,16 +1432,17 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, db, opts).unwrap();
+        let mut durable = ShardWriter::create(&dir, db, 1, opts).unwrap();
         durable.insert(&raw(100)).unwrap();
-        assert_eq!(durable.health(), WalHealth::Healthy);
+        assert_eq!(durable.durability_health().unwrap(), WalHealth::Healthy);
         // Kill the WAL: the very next append fails and degrades.
         durable
-            .log_mut()
+            .durable_log_mut()
+            .unwrap()
             .set_wal_fail_plan(Some(FailPlan::kill_at(0)));
         // Also make the heal checkpoints fail (the new WAL dies too).
         durable.insert(&raw(101)).unwrap();
-        match durable.health() {
+        match durable.durability_health().unwrap() {
             WalHealth::Degraded {
                 failed_attempts,
                 ops_since_durable,
@@ -1589,7 +1460,7 @@ mod tests {
             durable.insert(&raw(102 + i)).unwrap();
         }
         assert_eq!(durable.db().len(), len_before + 40);
-        let attempts_while_failing = match durable.health() {
+        let attempts_while_failing = match durable.durability_health().unwrap() {
             WalHealth::Degraded {
                 failed_attempts, ..
             } => failed_attempts,
@@ -1600,11 +1471,11 @@ mod tests {
             "backoff should have retried a few times, not every op: {attempts_while_failing}"
         );
         // Clear the fault: the next retry window heals the log.
-        durable.log_mut().set_wal_fail_plan(None);
+        durable.durable_log_mut().unwrap().set_wal_fail_plan(None);
         let mut healed = false;
         for i in 0..300u64 {
             durable.insert(&raw(200 + i)).unwrap();
-            if durable.health() == WalHealth::Healthy {
+            if durable.durability_health().unwrap() == WalHealth::Healthy {
                 healed = true;
                 break;
             }
@@ -1614,7 +1485,7 @@ mod tests {
         drop(durable);
         // Everything — including the ops that rode through the degraded
         // window — recovers, because healing took a fresh checkpoint.
-        let (recovered, _) = DurableDb::recover(&dir).unwrap();
+        let (recovered, _) = ShardWriter::recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(recovered.db().len(), expected.len());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1632,16 +1503,20 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, base_db(), opts).unwrap();
+        let mut durable = ShardWriter::create(&dir, base_db(), 1, opts).unwrap();
         durable.insert(&raw(300)).unwrap();
         durable
-            .log_mut()
+            .durable_log_mut()
+            .unwrap()
             .set_manifest_fail_plan(Some(FailPlan::kill_at(0)));
         assert!(durable.checkpoint().is_err());
-        durable.log_mut().set_manifest_fail_plan(None);
+        durable
+            .durable_log_mut()
+            .unwrap()
+            .set_manifest_fail_plan(None);
         // The WAL itself never failed: still healthy, still generation 1.
-        assert_eq!(durable.health(), WalHealth::Healthy);
-        assert_eq!(durable.log().generation(), 1);
+        assert_eq!(durable.durability_health().unwrap(), WalHealth::Healthy);
+        assert_eq!(durable.durable_log().unwrap().generation(), 1);
         assert!(
             !dir.join(checkpoint_name(2)).exists() && !dir.join(wal_name(2)).exists(),
             "the half-installed generation must be retracted"
@@ -1651,7 +1526,7 @@ mod tests {
         durable.insert(&raw(302)).unwrap();
         let expected_len = durable.db().len();
         drop(durable); // ...then crash.
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = ShardWriter::recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.generation, 1);
         assert!(!report.torn_tail);
         assert_eq!(
@@ -1671,13 +1546,14 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, base_db(), opts).unwrap();
+        let mut durable = ShardWriter::create(&dir, base_db(), 1, opts).unwrap();
         durable.insert(&raw(310)).unwrap();
         durable
-            .log_mut()
+            .durable_log_mut()
+            .unwrap()
             .set_wal_fail_plan(Some(FailPlan::kill_at(0)));
         assert!(durable.checkpoint().is_err());
-        assert_eq!(durable.log().generation(), 1);
+        assert_eq!(durable.durable_log().unwrap().generation(), 1);
         assert!(
             !dir.join(checkpoint_name(2)).exists(),
             "a checkpoint with no WAL must not be left to shadow generation 1"
@@ -1686,7 +1562,7 @@ mod tests {
         drop(durable); // Crash without further ops (the live WAL sink is
                        // armed too, so appends would degrade — covered
                        // by the degradation test above).
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = ShardWriter::recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.generation, 1);
         assert_eq!(recovered.db().len(), expected_len);
         let _ = fs::remove_dir_all(&dir);
@@ -1704,16 +1580,16 @@ mod tests {
                 interval: None,
             },
         };
-        let mut durable = DurableDb::create(&dir, db, opts).unwrap();
-        let gen_before = durable.log().generation();
+        let mut durable = ShardWriter::create(&dir, db, 1, opts).unwrap();
+        let gen_before = durable.durable_log().unwrap().generation();
         for i in 0..11 {
             durable.insert(&raw(50 + i)).unwrap();
         }
         assert!(
-            durable.log().generation() >= gen_before + 2,
+            durable.durable_log().unwrap().generation() >= gen_before + 2,
             "11 ops at a 5-op bound must have checkpointed at least twice"
         );
-        assert!(durable.log().ops_since_checkpoint() < 5);
+        assert!(durable.durable_log().unwrap().ops_since_checkpoint() < 5);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1725,7 +1601,7 @@ mod tests {
             sync: SyncPolicy::EveryRecord,
             checkpoint: CheckpointPolicy::Manual,
         };
-        let mut durable = DurableDb::create(&dir, db, opts).unwrap();
+        let mut durable = ShardWriter::create(&dir, db, 1, opts).unwrap();
         for i in 0..4 {
             durable.insert(&raw(20 + i)).unwrap();
         }
@@ -1734,7 +1610,7 @@ mod tests {
             durable.insert(&raw(30 + i)).unwrap();
         }
         let expected = durable.db().clone();
-        let newest = durable.log().generation();
+        let newest = durable.durable_log().unwrap().generation();
         drop(durable);
         // Damage the newest checkpoint: recovery must fall back to the
         // previous generation and chain-replay both WALs to the exact
@@ -1742,15 +1618,15 @@ mod tests {
         let path = dir.join(checkpoint_name(newest));
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        let (recovered, report) = DurableDb::recover(&dir).unwrap();
+        let (recovered, report) = ShardWriter::recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.generation, newest - 1);
         assert_eq!(report.checkpoints_skipped, 1);
         assert_eq!(report.replayed_ops, 6, "4 pre-checkpoint + 2 post");
         assert_eq!(recovered.db().len(), expected.len());
         for d in 0..expected.num_slots() {
             assert_eq!(
-                recovered.db().signatures()[d].vector,
-                expected.signatures()[d].vector
+                recovered.db().signature(d).vector,
+                expected.signature(d).vector
             );
         }
         let _ = fs::remove_dir_all(&dir);
@@ -1760,7 +1636,7 @@ mod tests {
     fn policy_changes_are_persisted_via_checkpoint() {
         let dir = test_dir("policy-change");
         let db = base_db();
-        let mut durable = DurableDb::create(&dir, db, DurableOptions::default()).unwrap();
+        let mut durable = ShardWriter::create(&dir, db, 1, DurableOptions::default()).unwrap();
         durable
             .set_refit_policy(crate::RefitPolicy::EveryN(3))
             .unwrap();
@@ -1771,7 +1647,7 @@ mod tests {
             })
             .unwrap();
         drop(durable);
-        let (recovered, _) = DurableDb::recover(&dir).unwrap();
+        let (recovered, _) = ShardWriter::recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(recovered.db().refit_policy(), crate::RefitPolicy::EveryN(3));
         assert_eq!(
             recovered.db().vacuum_policy(),

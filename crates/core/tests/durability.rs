@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use fmeter_core::fault::FailPlan;
 use fmeter_core::persist::{split_envelope, CURRENT_FORMAT_VERSION};
 use fmeter_core::{
-    CheckpointPolicy, DurableDb, DurableOptions, FmeterError, RawSignature, SignatureDb,
+    CheckpointPolicy, DurableOptions, FmeterError, RawSignature, ShardWriter, SignatureDb,
     SignatureService, SyncPolicy, WalHealth, WalOp,
 };
 use fmeter_kernel_sim::Nanos;
@@ -96,7 +96,7 @@ fn assert_states_identical(a: &SignatureDb, b: &SignatureDb) {
     assert_eq!(a.epoch(), b.epoch(), "idf epochs diverged");
     for d in 0..a.num_slots() {
         assert_eq!(a.is_live(d), b.is_live(d), "liveness diverged at {d}");
-        let (x, y) = (&a.signatures()[d].vector, &b.signatures()[d].vector);
+        let (x, y) = (&a.signature(d).vector, &b.signature(d).vector);
         assert_eq!(x.dim(), y.dim());
         for t in 0..x.dim() as u32 {
             assert_eq!(
@@ -111,7 +111,7 @@ fn assert_states_identical(a: &SignatureDb, b: &SignatureDb) {
         let hits_a = a.search(&q, 5).expect("search");
         let hits_b = b.search(&q, 5).expect("search");
         assert_eq!(hits_a.len(), hits_b.len());
-        for ((s1, x1), (s2, x2)) in hits_a.iter().zip(&hits_b) {
+        for ((_, s1, x1), (_, s2, x2)) in hits_a.iter().zip(&hits_b) {
             assert_eq!(s1.label, s2.label, "hit labels diverged");
             assert_eq!(x1.to_bits(), x2.to_bits(), "scores not bit-identical");
         }
@@ -148,7 +148,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// Applies one op to the durable database, mirroring what was logged
 /// (for the flat-replay oracle) and the WAL byte boundary it acked at.
 fn apply_op(
-    durable: &mut DurableDb,
+    durable: &mut ShardWriter,
     i: usize,
     op: &Op,
     logged: &mut Vec<WalOp>,
@@ -192,7 +192,7 @@ fn apply_op(
         }
     }
     if logged.len() > boundaries.len() {
-        boundaries.push(durable.log().wal_bytes());
+        boundaries.push(durable.durable_log().expect("durable").wal_bytes());
     }
 }
 
@@ -221,14 +221,14 @@ proptest! {
         let scratch = test_dir("kill-scratch");
         let base = seed_db();
         let mut durable =
-            DurableDb::create(&dir, base.clone(), manual_opts()).expect("create durable dir");
-        let header_len = durable.log().wal_bytes();
+            ShardWriter::create(&dir, base.clone(), 1, manual_opts()).expect("create durable dir");
+        let header_len = durable.durable_log().expect("durable").wal_bytes();
         let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
         for (i, op) in ops.iter().enumerate() {
             apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
         }
-        let generation = durable.log().generation();
-        let wal_len = durable.log().wal_bytes();
+        let generation = durable.durable_log().expect("durable").generation();
+        let wal_len = durable.durable_log().expect("durable").wal_bytes();
         drop(durable); // crash: nothing checkpointed since create
 
         let cut = (wal_len as f64 * cut_frac) as u64;
@@ -238,10 +238,11 @@ proptest! {
         fs::write(&wal, &bytes[..cut.min(bytes.len() as u64) as usize]).expect("truncate wal");
 
         let (recovered, report) =
-            DurableDb::recover_with(&scratch, manual_opts()).expect("recovery succeeds");
+            ShardWriter::recover(&scratch, manual_opts()).expect("recovery succeeds");
         let acked = boundaries.iter().filter(|&&b| b <= cut).count();
         // Replay must stop exactly at the torn record.
         prop_assert_eq!(report.replayed_ops, acked);
+        prop_assert_eq!(report.refused_ops, 0);
         let clean_cut = cut >= wal_len || cut == header_len || boundaries.contains(&cut);
         prop_assert_eq!(report.torn_tail, !clean_cut);
         assert_states_identical(recovered.db(), &oracle(&base, &logged, acked));
@@ -249,7 +250,7 @@ proptest! {
         let mut recovered = recovered;
         recovered.insert(&probes()[0]).expect("post-recovery insert");
         recovered.checkpoint().expect("post-recovery checkpoint");
-        prop_assert_eq!(recovered.health(), WalHealth::Healthy);
+        prop_assert_eq!(recovered.durability_health().expect("durable"), WalHealth::Healthy);
         drop(recovered);
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&scratch);
@@ -267,14 +268,14 @@ proptest! {
         let dir = test_dir("ckpt");
         let base = seed_db();
         let mut durable =
-            DurableDb::create(&dir, base.clone(), manual_opts()).expect("create durable dir");
-        let first_gen = durable.log().generation();
+            ShardWriter::create(&dir, base.clone(), 1, manual_opts()).expect("create durable dir");
+        let first_gen = durable.durable_log().expect("durable").generation();
         let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
         for (i, op) in ops_a.iter().enumerate() {
             apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
         }
         durable.checkpoint().expect("mid-stream checkpoint");
-        let newest_gen = durable.log().generation();
+        let newest_gen = durable.durable_log().expect("durable").generation();
         prop_assert_eq!(newest_gen, first_gen + 1);
         for (i, op) in ops_b.iter().enumerate() {
             apply_op(&mut durable, 100 + i, op, &mut logged, &mut boundaries);
@@ -288,12 +289,13 @@ proptest! {
         fs::write(&ckpt, &bytes[..cut]).expect("truncate checkpoint");
 
         let (recovered, report) =
-            DurableDb::recover_with(&dir, manual_opts()).expect("fallback recovery succeeds");
+            ShardWriter::recover(&dir, manual_opts()).expect("fallback recovery succeeds");
         // Recovered from the previous generation, whose WAL chains into
         // the newer one — nothing acked is lost.
         prop_assert_eq!(report.generation, first_gen);
         prop_assert_eq!(report.checkpoints_skipped, 1);
         prop_assert_eq!(report.replayed_ops, logged.len());
+        prop_assert_eq!(report.refused_ops, 0);
         assert_states_identical(recovered.db(), &oracle(&base, &logged, logged.len()));
         drop(recovered);
         let _ = fs::remove_dir_all(&dir);
@@ -356,8 +358,8 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
     let dir = test_dir("sweep");
     let base = seed_db();
     let mut durable =
-        DurableDb::create(&dir, base.clone(), manual_opts()).expect("create durable dir");
-    let header_len = durable.log().wal_bytes();
+        ShardWriter::create(&dir, base.clone(), 1, manual_opts()).expect("create durable dir");
+    let header_len = durable.durable_log().expect("durable").wal_bytes();
     let (mut logged, mut boundaries) = (Vec::new(), Vec::new());
     let script = [
         Op::Insert(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0]),
@@ -370,8 +372,8 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
     for (i, op) in script.iter().enumerate() {
         apply_op(&mut durable, i, op, &mut logged, &mut boundaries);
     }
-    let generation = durable.log().generation();
-    let wal_len = durable.log().wal_bytes();
+    let generation = durable.durable_log().expect("durable").generation();
+    let wal_len = durable.durable_log().expect("durable").wal_bytes();
     drop(durable);
 
     let scratch = test_dir("sweep-scratch");
@@ -400,6 +402,7 @@ fn wal_tail_sweep_recovers_the_clean_prefix_at_every_offset() {
             report.replayed_ops, acked,
             "cut at byte {cut}: wrong replay length"
         );
+        assert_eq!(report.refused_ops, 0, "cut at byte {cut}");
         assert_states_identical(&db, &oracle(&base, &logged, acked));
     }
     let _ = fs::remove_dir_all(&dir);
@@ -441,6 +444,7 @@ fn durable_service_survives_a_torn_tail_and_continues() {
     let (recovered, report) =
         SignatureService::recover_durable(&dir, manual_opts()).expect("service recovery");
     assert_eq!(report.replayed_ops, logged.len() - 1);
+    assert_eq!(report.refused_ops, 0);
     assert!(report.torn_tail);
     let expect = oracle(&base, &logged, logged.len() - 1);
     assert_eq!(recovered.len(), expect.len());
@@ -449,7 +453,7 @@ fn durable_service_survives_a_torn_tail_and_continues() {
         let got = recovered.search(&q, 5).expect("recovered search");
         let want = expect.search(&q, 5).expect("oracle search");
         assert_eq!(got.len(), want.len());
-        for ((_, s1, x1), (s2, x2)) in got.iter().zip(&want) {
+        for ((_, s1, x1), (_, s2, x2)) in got.iter().zip(&want) {
             assert_eq!(s1.label, s2.label);
             assert_eq!(x1.to_bits(), x2.to_bits(), "scores not bit-identical");
         }
@@ -508,9 +512,65 @@ fn durable_service_degrades_and_heals_without_poisoning_the_writer() {
     // degraded window — is durable again: recover and compare.
     let expected_len = service.len();
     drop(service);
-    let (recovered, _) =
+    let (recovered, report) =
         SignatureService::recover_durable(&dir, manual_opts()).expect("recovery after heal");
+    assert_eq!(report.refused_ops, 0);
     assert_eq!(recovered.len(), expected_len);
+    drop(recovered);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A refused mutation is validated away before it reaches the log: a
+/// wrong-dimension insert, a remove of a dead doc, and a batch with one
+/// bad element each leave the sequence number, the WAL, and the
+/// database untouched, and recovery replays only the accepted ops.
+#[test]
+fn refused_mutations_leave_no_trace_in_the_log() {
+    let dir = test_dir("refused");
+    let mut writer =
+        ShardWriter::create(&dir, seed_db(), 1, manual_opts()).expect("create durable dir");
+    writer.insert(&probes()[0]).expect("valid insert");
+    writer.remove(0).expect("valid remove");
+    let state = |w: &ShardWriter| {
+        let log = w.durable_log().expect("durable");
+        (log.next_seq(), log.wal_bytes(), w.db().len())
+    };
+    let before = state(&writer);
+    let mut short = probes()[1].clone();
+    short.counts.pop();
+    assert!(writer.insert(&short).is_err(), "wrong dimension");
+    assert_eq!(state(&writer), before, "refused insert left a trace");
+    assert!(writer.remove(0).is_err(), "already removed");
+    assert!(writer.remove(10_000).is_err(), "never assigned");
+    assert_eq!(state(&writer), before, "refused remove left a trace");
+    let batch = vec![probes()[0].clone(), short, probes()[2].clone()];
+    assert!(writer.insert_batch(&batch).is_err(), "one bad element");
+    assert_eq!(state(&writer), before, "refused batch left a trace");
+    drop(writer);
+    let (recovered, report) = ShardWriter::recover(&dir, manual_opts()).expect("recovery");
+    assert_eq!(report.replayed_ops, 2);
+    assert_eq!(report.refused_ops, 0);
+    assert_eq!(recovered.db().len(), before.2);
+    drop(recovered);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Releases that logged before validating could write a refused op;
+/// recovery still succeeds over such a log and counts the op instead
+/// of silently discarding its error.
+#[test]
+fn refused_ops_in_older_logs_are_counted_on_replay() {
+    let dir = test_dir("legacy-refused");
+    let mut writer =
+        ShardWriter::create(&dir, seed_db(), 1, manual_opts()).expect("create durable dir");
+    let log = writer.durable_log_mut().expect("durable");
+    log.append(&WalOp::Remove(10_000));
+    log.append(&WalOp::Insert(probes()[0].clone()));
+    drop(writer);
+    let (recovered, report) = ShardWriter::recover(&dir, manual_opts()).expect("recovery");
+    assert_eq!(report.replayed_ops, 2);
+    assert_eq!(report.refused_ops, 1);
+    assert_eq!(recovered.db().len(), seed_db().len() + 1);
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -567,11 +627,17 @@ fn bad_magic_and_garbage_are_rejected() {
 #[test]
 fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
     let missing = test_dir("missing").join("never-created");
-    assert!(DurableDb::recover(&missing).is_err(), "missing directory");
+    assert!(
+        ShardWriter::recover(&missing, DurableOptions::default()).is_err(),
+        "missing directory"
+    );
 
     let empty = test_dir("empty");
     fs::create_dir_all(&empty).expect("mkdir");
-    assert!(DurableDb::recover(&empty).is_err(), "empty directory");
+    assert!(
+        ShardWriter::recover(&empty, DurableOptions::default()).is_err(),
+        "empty directory"
+    );
     assert!(
         SignatureService::recover_durable(&empty, DurableOptions::default()).is_err(),
         "service recovery on an empty directory"
@@ -584,7 +650,7 @@ fn recovery_on_empty_or_partially_created_directories_fails_loudly() {
     fs::write(partial.join("checkpoint-0000000001.fmdb.tmp"), b"half").expect("write tmp");
     fs::write(partial.join("MANIFEST"), b"FMMANIFEST bogus\n{}\n").expect("write manifest");
     assert!(
-        DurableDb::recover(&partial).is_err(),
+        ShardWriter::recover(&partial, DurableOptions::default()).is_err(),
         "tmp-and-manifest-only directory"
     );
     for dir in [missing.parent().unwrap().to_path_buf(), empty, partial] {

@@ -110,8 +110,11 @@ fn surviving(db: &SignatureDb, raws: &[RawSignature]) -> Vec<RawSignature> {
 fn assert_equivalent(db: &SignatureDb, fresh: &SignatureDb, probes: &[RawSignature]) {
     assert_eq!(db.len(), fresh.len());
     let live: Vec<usize> = (0..db.num_slots()).filter(|&d| db.is_live(d)).collect();
-    for (&d, f) in live.iter().zip(fresh.signatures()) {
-        let a = &db.signatures()[d].vector;
+    for (&d, f) in live
+        .iter()
+        .zip((0..fresh.num_slots()).map(|d| fresh.signature(d)))
+    {
+        let a = &db.signature(d).vector;
         let b = &f.vector;
         assert_eq!(a.dim(), b.dim());
         for t in 0..a.dim() as u32 {
@@ -127,7 +130,7 @@ fn assert_equivalent(db: &SignatureDb, fresh: &SignatureDb, probes: &[RawSignatu
         let a = db.search(&q, 4).expect("search");
         let b = fresh.search(&q, 4).expect("search");
         assert_eq!(a.len(), b.len(), "hit counts diverged");
-        for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
+        for ((_, s1, d1), (_, s2, d2)) in a.iter().zip(&b) {
             assert_eq!(s1.label, s2.label, "hit labels diverged");
             assert!((d1 - d2).abs() < 1e-9, "scores diverged: {d1} vs {d2}");
         }
@@ -201,9 +204,9 @@ fn purity(db: &SignatureDb, syndromes: &[Syndrome]) -> f64 {
     let mut agree = 0usize;
     let mut total = 0usize;
     for s in syndromes {
-        let mut counts: HashMap<&str, usize> = HashMap::new();
+        let mut counts: HashMap<String, usize> = HashMap::new();
         for &m in &s.members {
-            if let Some(label) = db.signatures()[m].label.as_deref() {
+            if let Some(label) = db.signature(m).label {
                 *counts.entry(label).or_insert(0) += 1;
             }
         }

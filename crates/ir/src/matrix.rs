@@ -320,8 +320,13 @@ impl CsrMatrix {
     /// Panics when `i >= len()`.
     pub fn row_to_sparse(&self, i: usize) -> SparseVec {
         let (terms, values) = self.row(i);
-        SparseVec::from_pairs(self.dim, terms.iter().copied().zip(values.iter().copied()))
-            .expect("CSR terms are in range")
+        // Rows are sorted and in range by construction; only the stored
+        // zeros `from_raw_parts` admits need normalising away.
+        if values.contains(&0.0) {
+            return SparseVec::from_pairs(self.dim, terms.iter().copied().zip(values.to_vec()))
+                .expect("CSR terms are in range");
+        }
+        SparseVec::from_sorted(self.dim, terms.to_vec(), values.to_vec())
     }
 
     /// Distance between rows `i` and `j` under `metric`, allocation-free.

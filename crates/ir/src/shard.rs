@@ -74,8 +74,9 @@ impl ShardRouter {
 
 /// One shard of a sharded corpus: its own [`InvertedIndex`] (postings
 /// and WAND max-impact bounds over shard-local ids) plus the shard's
-/// vectors packed in a [`CsrMatrix`] (so a snapshot consumer can replay
-/// or re-index the shard without reaching back into the writer).
+/// vectors packed in a [`CsrMatrix`], one row per local id — the only
+/// stored copy of each vector, which refits re-weight and vacuums
+/// re-route from.
 ///
 /// All public entry points speak *global* doc ids; the shard translates
 /// through its [`ShardRouter`] internally and rejects misrouted ids.
@@ -104,8 +105,62 @@ impl Shard {
             shard,
             router,
             index: InvertedIndex::new(dim),
-            vectors: CsrMatrix::default(),
+            vectors: CsrMatrix::new(dim),
         }
+    }
+
+    /// Builds shard `shard` in one pass from its `(vector, live)` rows
+    /// (row `l` is local id `l`): live rows are indexed, dead ones kept
+    /// as tombstoned rows. The postings come out fully compacted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimensionMismatch`] on a vector of another
+    /// dimension.
+    pub fn from_rows(
+        shard: usize,
+        router: ShardRouter,
+        dim: usize,
+        rows: &[(SparseVec, bool)],
+    ) -> Result<Self, IrError> {
+        let mut out = Shard::new(shard, router, dim);
+        for (local, (vector, live)) in rows.iter().enumerate() {
+            out.vectors.push_row(vector)?;
+            // Claim the id empty; the rebuild below writes every posting.
+            out.index.insert(SparseVec::zeros(dim))?;
+            if !live {
+                out.index.remove(local)?;
+            }
+        }
+        let live = rows.iter().enumerate().filter(|(_, (_, live))| *live);
+        out.index
+            .rebuild_postings(live.map(|(local, (vector, _))| (local, vector)))?;
+        Ok(out)
+    }
+
+    /// Reassembles shard `shard` from a loaded index and its vector rows
+    /// (row `l` is local id `l`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::DimensionMismatch`] when the index and the
+    /// rows disagree on the dimension or the number of local ids.
+    pub fn from_parts(
+        shard: usize,
+        router: ShardRouter,
+        index: InvertedIndex,
+        vectors: CsrMatrix,
+    ) -> Result<Self, IrError> {
+        if index.dim() != vectors.dim() || index.len() != vectors.len() {
+            return Err(IrError::DimensionMismatch {
+                left: index.len(),
+                right: vectors.len(),
+            });
+        }
+        let mut out = Shard::new(shard, router, index.dim());
+        out.index = index;
+        out.vectors = vectors;
+        Ok(out)
     }
 
     /// This shard's position in the layout.
@@ -218,39 +273,29 @@ impl Shard {
         self.index.set_quantization(mode);
     }
 
-    /// Rewrites this shard's postings (and stored vectors) from the
-    /// given live `(global doc, vector)` pairs, ascending by global id —
-    /// the per-shard leg of an idf refit (see
-    /// [`InvertedIndex::rebuild_postings`]).
+    /// Compacts a one-shard layout in place, vector rows included (see
+    /// [`InvertedIndex::renumber_compact`] for the `remap` contract).
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than one shard, whose routing renumbering breaks.
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::DocNotLive`] for misrouted, dead, or
-    /// disordered ids and [`IrError::DimensionMismatch`] on a vector
-    /// dimension mismatch; the shard is unchanged on error.
-    pub fn rebuild_postings<'a, I>(&mut self, live: I) -> Result<(), IrError>
-    where
-        I: IntoIterator<Item = (DocId, &'a SparseVec)>,
-    {
-        let mut pairs: Vec<(DocId, &SparseVec)> = Vec::new();
-        for (global, vector) in live {
-            if self.router.shard_of(global) != self.shard {
-                return Err(IrError::DocNotLive(global));
-            }
-            pairs.push((self.router.local_of(global), vector));
+    /// Returns [`IrError::DocNotLive`] for a bad `remap`; the shard is
+    /// then unchanged.
+    pub fn renumber_compact(&mut self, remap: &[Option<DocId>]) -> Result<(), IrError> {
+        assert_eq!(self.router.num_shards(), 1, "only a lone shard renumbers");
+        self.index.renumber_compact(remap)?;
+        // The index accepted `remap`, so it has one entry per row.
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for l in (0..self.vectors.len()).filter(|&l| remap[l].is_some()) {
+            let (terms, vals) = self.vectors.row(l);
+            indices.extend_from_slice(terms);
+            values.extend_from_slice(vals);
+            indptr.push(indices.len());
         }
-        self.index
-            .rebuild_postings(pairs.iter().map(|&(l, v)| (l, v)))?;
-        // Refresh the packed vector rows the rebuild re-weighted; dead
-        // locals keep their last row (same contract as the index, which
-        // keeps their tombstones).
-        let mut rows: Vec<SparseVec> = (0..self.vectors.len())
-            .map(|l| self.vectors.row_to_sparse(l))
-            .collect();
-        for &(l, v) in &pairs {
-            rows[l] = v.clone();
-        }
-        self.vectors = CsrMatrix::from_rows(&rows).expect("rows share the shard dimension");
+        self.vectors = CsrMatrix::from_parts_trusted(self.dim(), indptr, indices, values);
         Ok(())
     }
 
@@ -314,13 +359,13 @@ where
 ///
 /// Returns [`IrError::DimensionMismatch`] when the query dimension
 /// differs from the shards' dimension.
-pub fn search_sharded(
-    shards: &[Shard],
+pub fn search_sharded<'a>(
+    shards: impl IntoIterator<Item = &'a Shard>,
     query: &SparseVec,
     k: usize,
     scratch: &mut SearchScratch,
 ) -> Result<Vec<SearchHit>, IrError> {
-    let mut per_shard = Vec::with_capacity(shards.len());
+    let mut per_shard = Vec::new();
     for shard in shards {
         per_shard.push(shard.search_with(query, k, scratch)?);
     }
@@ -462,23 +507,22 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_postings_routes_and_refreshes_vectors() {
+    fn from_rows_indexes_live_rows_and_keeps_dead_ones() {
         let dim = 8usize;
         let docs = corpus(20, dim as u32);
         let mut shards = build_sharded(&docs, 2, dim);
-        shards[0].remove(4).unwrap();
-        // Rebuild shard 0 from scaled survivors, as a refit would hand
-        // down re-weighted vectors.
-        let scaled: Vec<(DocId, SparseVec)> = (0..20)
-            .filter(|d| d % 2 == 0 && *d != 4)
-            .map(|d| (d, docs[d].scaled(3.0)))
+        // Rebuild shard 0 from scaled rows with doc 4 dead, as a refit
+        // would hand down re-weighted vectors.
+        let rows: Vec<(SparseVec, bool)> = (0..20)
+            .step_by(2)
+            .map(|d| (docs[d].scaled(3.0), d != 4))
             .collect();
-        shards[0]
-            .rebuild_postings(scaled.iter().map(|(d, v)| (*d, v)))
-            .unwrap();
-        // A misrouted id is rejected and leaves the shard intact.
-        let v = docs[1].clone();
-        assert!(shards[0].rebuild_postings([(1usize, &v)]).is_err());
+        shards[0] = Shard::from_rows(0, shards[0].router(), dim, &rows).unwrap();
+        assert_eq!(shards[0].len(), 10);
+        assert!(!shards[0].is_live(4) && shards[0].is_live(6));
+        // A row of another dimension is rejected.
+        let bad = [(SparseVec::zeros(dim + 1), true)];
+        assert!(Shard::from_rows(0, shards[0].router(), dim, &bad).is_err());
         // The flat reference rebuilds from the very same vectors (bitwise
         // identity demands identical inputs — normalising a scaled copy
         // is only mathematically, not bitwise, a no-op).
@@ -505,12 +549,14 @@ mod tests {
             let got = search_sharded(&shards, q, 8, &mut scratch).unwrap();
             assert_eq!(got, expected);
         }
-        // The packed vectors mirror the rebuilt weights.
-        let local_of_6 = shards[0].router().local_of(6);
-        assert_eq!(
-            shards[0].vectors().row_to_sparse(local_of_6),
-            docs[6].scaled(3.0)
-        );
+        // The packed vectors hold every row, the dead one included.
+        for d in [4, 6] {
+            let local = shards[0].router().local_of(d);
+            assert_eq!(
+                shards[0].vectors().row_to_sparse(local),
+                docs[d].scaled(3.0)
+            );
+        }
     }
 
     #[test]

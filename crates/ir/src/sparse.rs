@@ -82,6 +82,13 @@ impl SparseVec {
         Ok(SparseVec { dim, terms, values })
     }
 
+    /// Wraps parallel arrays already in stored form: terms strictly
+    /// ascending and below `dim`, no zero values.
+    pub(crate) fn from_sorted(dim: usize, terms: Vec<TermId>, values: Vec<f64>) -> Self {
+        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]) && !values.contains(&0.0));
+        SparseVec { dim, terms, values }
+    }
+
     /// Builds a vector from a dense slice, storing only non-zero entries.
     pub fn from_dense(dense: &[f64]) -> Self {
         let mut terms = Vec::new();

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     all.extend(suspect.clone());
     all.extend(control.clone());
     let db = SignatureDb::build(&all)?;
-    let sigs = db.signatures();
+    let sigs: Vec<_> = (0..db.num_slots()).map(|d| db.signature(d)).collect();
     let (good_sigs, rest) = sigs.split_at(good.len());
     let (suspect_sigs, control_sigs) = rest.split_at(suspect.len());
 

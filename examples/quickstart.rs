@@ -46,9 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = SignatureDb::build(&raw)?;
 
     // 4. Same-class signatures are close; cross-class ones are far.
-    let sigs = db.signatures();
-    let same = sigs[0].cosine(&sigs[1])?;
-    let cross = sigs[0].cosine(&sigs[12])?;
+    let same = db.signature(0).cosine(&db.signature(1))?;
+    let cross = db.signature(0).cosine(&db.signature(12))?;
     println!("cosine(scp, scp)    = {same:.4}");
     println!("cosine(scp, dbench) = {cross:.4}");
     assert!(same > cross, "same-class signatures must be more similar");

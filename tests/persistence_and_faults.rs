@@ -94,13 +94,13 @@ fn db_round_trips_through_real_collection() {
         .search(&query, 3)
         .unwrap()
         .iter()
-        .map(|(s, score)| ((score * 1e9) as usize, format!("{:?}", s.label)))
+        .map(|(_, s, score)| ((score * 1e9) as usize, format!("{:?}", s.label)))
         .collect();
     let b: Vec<(usize, String)> = restored
         .search(&query, 3)
         .unwrap()
         .iter()
-        .map(|(s, score)| ((score * 1e9) as usize, format!("{:?}", s.label)))
+        .map(|(_, s, score)| ((score * 1e9) as usize, format!("{:?}", s.label)))
         .collect();
     assert_eq!(a, b);
 }

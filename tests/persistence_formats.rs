@@ -145,7 +145,7 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
         let a = db.search(q, 5).expect("fixture search");
         let b = replay.search(q, 5).expect("replay search");
         assert_eq!(a.len(), b.len(), "v{version} probe {i}: hit count");
-        for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
+        for ((_, s1, d1), (_, s2, d2)) in a.iter().zip(&b) {
             assert_eq!(s1.label, s2.label, "v{version} probe {i}: labels");
             assert!((d1 - d2).abs() < 1e-9, "v{version} probe {i}: {d1} vs {d2}");
         }
@@ -163,7 +163,7 @@ fn assert_fixture_behaviour(mut db: SignatureDb, version: u32) {
         let a = db.search(q, 5).expect("search");
         let b = fresh.search(q, 5).expect("search");
         assert_eq!(a.len(), b.len());
-        for ((s1, d1), (s2, d2)) in a.iter().zip(&b) {
+        for ((_, s1, d1), (_, s2, d2)) in a.iter().zip(&b) {
             assert_eq!(s1.label, s2.label, "v{version} probe {i} post-refit");
             assert!((d1 - d2).abs() < 1e-9, "v{version} probe {i}: {d1} vs {d2}");
         }
